@@ -30,8 +30,6 @@ from .ranks import (
 )
 from .simulate import (
     SimConfig,
-    PAPER_MARGINALS,
-    UNIFORM_MARGINALS,
     run_curve_study,
     run_ks_study,
     run_moment_study,
@@ -111,10 +109,13 @@ def _read_paired_csv(path: str, has_header: bool) -> PairedSample:
             if len(row) != 2:
                 raise CliError(f"row {lineno}: expected 2 columns, got {len(row)}")
             try:
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
+                x, y = float(row[0]), float(row[1])
             except ValueError as exc:
                 raise CliError(f"row {lineno}: cannot parse {','.join(row)!r}") from exc
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise CliError(f"row {lineno}: NaN or infinite value")
+            xs.append(x)
+            ys.append(y)
     if len(xs) < 2:
         raise CliError("need at least 2 data rows")
     first_data_row = 2 if has_header else 1
@@ -203,6 +204,14 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
     return sizes
 
 
+def _check_simulate(args: argparse.Namespace) -> None:
+    """Reject simulate settings the studies cannot run with."""
+    if not 0 <= args.seed < 1 << 64:
+        raise CliError(f"--seed must be in [0, 2^64), got {args.seed}")
+    if args.reps < 2:
+        raise CliError(f"--reps must be >= 2, got {args.reps}")
+
+
 def _threads(args: argparse.Namespace) -> int:
     if args.threads is not None:
         value = args.threads
@@ -216,11 +225,8 @@ def _threads(args: argparse.Namespace) -> int:
     return value
 
 
-def _marginals(args: argparse.Namespace) -> str:
-    return PAPER_MARGINALS if args.paper_marginals else UNIFORM_MARGINALS
-
-
 def _cmd_simulate_moments(args: argparse.Namespace) -> int:
+    _check_simulate(args)
     sizes = _parse_n_list(args.n_list)
     threads = _threads(args)
     rows = []
@@ -230,7 +236,6 @@ def _cmd_simulate_moments(args: argparse.Namespace) -> int:
             replications=args.reps,
             sample_sizes=sizes,
             statistic=stat,
-            marginals=_marginals(args),
             threads=threads,
         )
         for entry in run_moment_study(config):
@@ -249,6 +254,7 @@ def _cmd_simulate_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_kstest(args: argparse.Namespace) -> int:
+    _check_simulate(args)
     sizes = _parse_n_list(args.n_list)
     rows = [
         [entry.n, entry.combination, entry.outcome.statistic, entry.outcome.p_value]
@@ -256,7 +262,6 @@ def _cmd_simulate_kstest(args: argparse.Namespace) -> int:
             seed=args.seed,
             sample_sizes=sizes,
             replications=args.reps,
-            marginals=_marginals(args),
             threads=_threads(args),
         )
     ]
@@ -279,13 +284,15 @@ def _curve_paths(out: str) -> tuple[Path, Path]:
 def _cmd_simulate_curves(args: argparse.Namespace) -> int:
     if not args.out:
         raise CliError("curves writes two files; --out is required")
+    _check_simulate(args)
+    if args.grid_size < 2:
+        raise CliError(f"--grid-size must be >= 2, got {args.grid_size}")
     sizes = _parse_n_list(args.n_list)
     entries = run_curve_study(
         seed=args.seed,
         sample_sizes=sizes,
         replications=args.reps,
         grid_size=args.grid_size,
-        marginals=_marginals(args),
         threads=_threads(args),
     )
     density_rows = []
@@ -317,12 +324,14 @@ def _add_simulate_common(parser: argparse.ArgumentParser, default_reps: int) -> 
                         help="comma-separated sample sizes")
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads; never changes output bytes "
+                        help="worker threads across batches of about 2^17 random "
+                             "words; a study with one batch per (statistic, n) "
+                             "runs inline. Never changes output bytes "
                              "(default: FOOTRULE_THREADS or 1)")
     parser.add_argument("--paper-marginals", action="store_true",
-                        help="draw the rank statistic from normal-x/uniform-y data "
-                             "instead of uniform pairs (bit-identical by rank "
-                             "invariance)")
+                        help="no-op, kept for compatibility: normal-x/uniform-y "
+                             "data have the same ranks as the uniform pairs "
+                             "drawn, so output bytes are the same")
     parser.add_argument("--full-precision", action="store_true",
                         help="emit shortest round-trip decimals instead of 5 places")
 

@@ -114,21 +114,15 @@ def compute_ranks(values, ties: str = "raise") -> np.ndarray:
     if not np.isfinite(vals).all():
         raise NonFiniteError("values contain NaN or infinite entries")
 
-    order = np.argsort(vals, kind="stable")
-    sv = vals[order]
-    has_tie = bool((sv[1:] == sv[:-1]).any())
+    order, sv, has_tie, ranks = _rank_rows(vals)
     if ties == "raise":
         if has_tie:
             dup = float(sv[np.nonzero(sv[1:] == sv[:-1])[0][0]])
             raise TiesError(f"tied value {dup!r}; continuous data expected")
-        ranks = np.empty(n, dtype=np.int64)
-        ranks[order] = np.arange(1, n + 1)
         return ranks
 
     if not has_tie:
-        ranks = np.empty(n, dtype=float)
-        ranks[order] = np.arange(1, n + 1, dtype=float)
-        return ranks
+        return ranks.astype(float)
     run_start = np.empty(n, dtype=bool)
     run_start[0] = True
     run_start[1:] = sv[1:] != sv[:-1]
@@ -139,6 +133,37 @@ def compute_ranks(values, ties: str = "raise") -> np.ndarray:
     ranks = np.empty(n, dtype=float)
     ranks[order] = avg[run_id]
     return ranks
+
+
+def _rank_rows(values: np.ndarray):
+    """Sort each row (last axis): stable order, sorted values, tie flag, ranks.
+
+    Ranks are 1..n by double argsort, ties broken by position; they are
+    the true ranks only where the tie flag is False.
+    """
+    order = np.argsort(values, axis=-1, kind="stable")
+    sv = np.take_along_axis(values, order, axis=-1)
+    tied = (sv[..., 1:] == sv[..., :-1]).any(axis=-1)
+    return order, sv, tied, np.argsort(order, axis=-1) + 1
+
+
+def _displacement(r: np.ndarray, s: np.ndarray):
+    """D = sum |r - s| and the coefficient 1 - 3D/(n^2 - 1), per row."""
+    n = r.shape[-1]
+    d = np.abs(r - s).sum(axis=-1)
+    return d, 1.0 - 3.0 * d / (n * n - 1)
+
+
+def _footrule_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient of each paired row of x and y (last axis), and a tie flag.
+
+    The batched form of `footrule_coefficient`, without validation. A
+    flagged row's value is meaningless: it must be redone on the scalar
+    path, which raises or redraws.
+    """
+    _, _, x_tied, r = _rank_rows(x)
+    _, _, y_tied, s = _rank_rows(y)
+    return _displacement(r, s)[1], x_tied | y_tied
 
 
 def footrule_distance(ranks: RankPair) -> int:
@@ -153,13 +178,11 @@ def footrule_coefficient(sample: PairedSample, ties: str = "raise") -> FootruleR
     n = 2 is allowed but degenerate: the value is either 1 or -1, the
     latter below the large-sample floor of -1/2.
     """
-    n = sample.n
     r = compute_ranks(sample.x, ties=ties)
     s = compute_ranks(sample.y, ties=ties)
-    d = np.abs(r - s).sum()
+    d, phi = _displacement(r, s)
     distance = int(d) if r.dtype.kind == "i" else float(d)
-    phi = 1.0 - 3.0 * distance / (n * n - 1)
-    return FootruleResult(n=n, distance=distance, phi=phi)
+    return FootruleResult(n=sample.n, distance=distance, phi=float(phi))
 
 
 def max_distance(n: int) -> int:

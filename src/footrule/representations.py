@@ -58,18 +58,14 @@ def double_sum_representation(pairs: UniformPairs) -> RepresentationValue:
     n = pairs.n
     if n < 2:
         raise SampleSizeError("double-sum form needs n >= 2 (n^2 - 1 vanishes)")
-    cross = _abs_diff_double_sum(pairs.u, pairs.v)
-    diag = float(np.sum(np.abs(pairs.u - pairs.v)))
-    value = (3.0 * n * n / (n * n - 1)) * (cross / (n * n) - diag / n)
+    value = float(_double_sum_rows(pairs.u, pairs.v))
     return RepresentationValue(n=n, value=value, kind=Statistic.DOUBLE_SUM)
 
 
 def hajek_representation(pairs: UniformPairs) -> RepresentationValue:
     """Second form: (3/(n+1)) * sum_i (2/3 - |U_i-V_i| - U_i(1-U_i) - V_i(1-V_i))."""
-    u, v, n = pairs.u, pairs.v, pairs.n
-    terms = 2.0 / 3.0 - np.abs(u - v) - u * (1.0 - u) - v * (1.0 - v)
-    value = 3.0 / (n + 1) * float(np.sum(terms))
-    return RepresentationValue(n=n, value=value, kind=Statistic.HAJEK)
+    value = float(_hajek_rows(pairs.u, pairs.v))
+    return RepresentationValue(n=pairs.n, value=value, kind=Statistic.HAJEK)
 
 
 def u_kernel(p1: tuple[float, float], p2: tuple[float, float]) -> float:
@@ -94,12 +90,37 @@ def hajek_projection_term(u: float, v: float) -> float:
     return 1.0 / 3.0 - u * (1.0 - u) - v * (1.0 - v)
 
 
-def _abs_diff_double_sum(u: np.ndarray, v: np.ndarray) -> float:
-    """sum_i sum_j |u_i - v_j| via sorting and prefix sums."""
-    n = len(v)
-    sv = np.sort(v)
-    prefix = np.concatenate(([0.0], np.cumsum(sv)))
-    k = np.searchsorted(sv, u, side="right")
-    below = u * k - prefix[k]
-    above = (prefix[n] - prefix[k]) - u * (n - k)
-    return float(np.sum(below + above))
+def _double_sum_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Double-sum form of each row of pairs (last axis), unvalidated."""
+    n = u.shape[-1]
+    cross = _abs_diff_double_sum(u, v)
+    diag = np.abs(u - v).sum(axis=-1)
+    return (3.0 * n * n / (n * n - 1)) * (cross / (n * n) - diag / n)
+
+
+def _hajek_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Projected form of each row of pairs (last axis), unvalidated."""
+    n = u.shape[-1]
+    terms = 2.0 / 3.0 - np.abs(u - v) - u * (1.0 - u) - v * (1.0 - v)
+    return 3.0 / (n + 1) * terms.sum(axis=-1)
+
+
+def _abs_diff_double_sum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i sum_j |u_i - v_j| per row, via sorting and prefix sums.
+
+    k_i = #{j : v_j <= u_i} comes from one stable argsort of the row
+    [sorted v, u]: every v not above u_i sorts before it, so k_i is u_i's
+    merged position less the u values placed before it. This stays exact
+    where offsetting rows into one flat searchsorted would round.
+    """
+    n = v.shape[-1]
+    sv = np.sort(v, axis=-1)
+    prefix = np.zeros(v.shape[:-1] + (n + 1,))
+    np.cumsum(sv, axis=-1, out=prefix[..., 1:])
+    merged = np.argsort(np.concatenate((sv, u), axis=-1), axis=-1, kind="stable")
+    v_before = np.arange(1, 2 * n + 1) - np.cumsum(merged >= n, axis=-1)
+    k = np.take_along_axis(v_before, np.argsort(merged, axis=-1)[..., n:], axis=-1)
+    prefix_k = np.take_along_axis(prefix, k, axis=-1)
+    below = u * k - prefix_k
+    above = (prefix[..., n:] - prefix_k) - u * (n - k)
+    return (below + above).sum(axis=-1)

@@ -6,7 +6,7 @@ import pytest
 
 from footrule.cli import main
 
-trapezoid = getattr(np, "trapezoid", np.trapz)
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def write_lines(path, lines):
@@ -216,6 +216,30 @@ class TestSimulateCommands:
         with pytest.raises(SystemExit) as info:
             main(["simulate"])
         assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv, lines, code", [
+    (["simulate", "moments", "--reps", "1"], None, 2),
+    (["simulate", "kstest", "--reps", "1"], None, 2),
+    (["simulate", "curves", "--reps", "1", "--out", "{dir}/c"], None, 2),
+    (["simulate", "curves", "--grid-size", "1", "--out", "{dir}/c"], None, 2),
+    (["simulate", "moments", "--seed", "-1"], None, 2),
+    (["simulate", "kstest", "--seed", str(2**64)], None, 2),
+    (["stat", "{csv}"], ["1.0,2.0", "nan,3.0", "2.0,4.0"], 2),
+    (["stat", "{csv}", "--exact"], ["1.0,2.0", "2.0,inf", "3.0,4.0"], 2),
+    (["stat", "{csv}"], ["inf,2.0", "inf,3.0", "2.0,4.0"], 2),
+    (["stat", "{csv}"], ["1.0,2.0", "1.0,3.0", "2.0,4.0"], 3),
+], ids=["moments-reps", "kstest-reps", "curves-reps", "grid-size", "seed-negative",
+        "seed-too-large", "nan-cell", "inf-cell", "inf-pair", "ties"])
+def test_bad_input_exit_codes(tmp_path, capsys, argv, lines, code):
+    csv_path = tmp_path / "data.csv"
+    if lines is not None:
+        write_lines(csv_path, lines)
+    argv = [a.format(dir=tmp_path, csv=csv_path) for a in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("footrule: ") and err.count("\n") == 1, err
+    assert not list(tmp_path.glob("c_*.csv"))
 
 
 class TestTableReproduction:

@@ -21,7 +21,7 @@ from footrule.stats import (
     summarize,
 )
 
-trapezoid = getattr(np, "trapezoid", np.trapz)
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def normal_cdf_oracle(x, mean=0.0, variance=1.0):
