@@ -20,8 +20,6 @@ from .common import (
 )
 from .moments import (
     NullMoments,
-    UNIFORM_CONSTANTS,
-    UniformIntegralConstants,
     cond_exp_abs_diff,
     limiting_variance,
     null_moments,
@@ -31,15 +29,12 @@ from .ranks import (
     ExactNullDistribution,
     FootruleResult,
     PairedSample,
-    RankPair,
     compute_ranks,
     enumerate_null_distribution,
     footrule_coefficient,
-    footrule_distance,
     max_distance,
 )
 from .representations import (
-    RepresentationValue,
     UniformPairs,
     double_sum_representation,
     hajek_projection_term,
@@ -50,7 +45,6 @@ from .simulate import (
     CurveRow,
     KsRow,
     MomentRow,
-    SimConfig,
     StreamKey,
     draw_statistic,
     run_curve_study,
@@ -87,16 +81,11 @@ __all__ = [
     "NonFiniteError",
     "NullMoments",
     "PairedSample",
-    "RankPair",
-    "RepresentationValue",
     "SampleSizeError",
-    "SimConfig",
     "Statistic",
     "StreamKey",
     "SummaryStats",
     "TiesError",
-    "UNIFORM_CONSTANTS",
-    "UniformIntegralConstants",
     "UniformPairs",
     "compute_ranks",
     "cond_exp_abs_diff",
@@ -105,7 +94,6 @@ __all__ = [
     "ecdf_curve",
     "enumerate_null_distribution",
     "footrule_coefficient",
-    "footrule_distance",
     "gaussian_kde",
     "hajek_projection_term",
     "hajek_representation",

@@ -5,7 +5,8 @@ Commands:
   exact     dump the exact permutation null distribution for small n
   simulate  run the moments / kstest / curves studies and emit CSV
 
-Exit codes: 0 success, 2 usage or parse errors, 3 tied data (the
+Exit codes: 0 success, 2 usage errors (including invalid study settings,
+an unreadable input CSV and an unwritable --out), 3 tied data (the
 continuity assumption is violated).
 """
 
@@ -19,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .common import Statistic, TiesError
+from .common import TiesError
 from .moments import limiting_variance
 from .ranks import (
     ENUMERATION_MAX_N,
@@ -28,12 +29,7 @@ from .ranks import (
     enumerate_null_distribution,
     footrule_coefficient,
 )
-from .simulate import (
-    SimConfig,
-    run_curve_study,
-    run_ks_study,
-    run_moment_study,
-)
+from .simulate import run_curve_study, run_ks_study, run_moment_study
 from .stats import normal_cdf
 
 EXIT_OK = 0
@@ -88,9 +84,19 @@ def _write_csv(path: Path | None, header: list[str], rows, full_precision: bool)
         with open(tmp, "w", encoding="utf-8", newline="") as handle:
             emit(handle)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
+
+
+def _csv_rows(handle, path: str):
+    """CSV rows of an open file; undecodable bytes or an oversized field exit 2."""
+    try:
+        yield from csv.reader(handle)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_paired_csv(path: str, has_header: bool) -> PairedSample:
@@ -101,7 +107,7 @@ def _read_paired_csv(path: str, has_header: bool) -> PairedSample:
     except OSError as exc:
         raise CliError(f"cannot open {path}: {exc}") from exc
     with handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
+        for lineno, row in enumerate(_csv_rows(handle, path), start=1):
             if not row:
                 continue
             if has_header and lineno == 1:
@@ -156,11 +162,7 @@ def _independence_report(sample: PairedSample, exact: bool) -> TestReport:
 
 
 def _cmd_stat(args: argparse.Namespace) -> int:
-    sample = _read_paired_csv(args.input, args.header)
-    try:
-        report = _independence_report(sample, args.exact)
-    except TiesError as exc:
-        raise CliError(str(exc), code=EXIT_TIES) from exc
+    report = _independence_report(_read_paired_csv(args.input, args.header), args.exact)
     full = args.full_precision
     print(f"n         {report.n}")
     print(f"distance  {report.distance}")
@@ -199,17 +201,7 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         sizes = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise CliError(f"bad --n-list {text!r}: {exc}") from exc
-    if not sizes or min(sizes) < 2:
-        raise CliError("--n-list entries must all be >= 2")
     return sizes
-
-
-def _check_simulate(args: argparse.Namespace) -> None:
-    """Reject simulate settings the studies cannot run with."""
-    if not 0 <= args.seed < 1 << 64:
-        raise CliError(f"--seed must be in [0, 2^64), got {args.seed}")
-    if args.reps < 2:
-        raise CliError(f"--reps must be >= 2, got {args.reps}")
 
 
 def _threads(args: argparse.Namespace) -> int:
@@ -226,27 +218,21 @@ def _threads(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_moments(args: argparse.Namespace) -> int:
-    _check_simulate(args)
-    sizes = _parse_n_list(args.n_list)
-    threads = _threads(args)
     rows = []
-    for stat in Statistic:
-        config = SimConfig(
-            seed=args.seed,
-            replications=args.reps,
-            sample_sizes=sizes,
-            statistic=stat,
-            threads=threads,
-        )
-        for entry in run_moment_study(config):
-            s = entry.summary
-            rows.append([entry.statistic.value, entry.n, s.em, s.ev, s.bias, s.rmse])
-            if entry.redraws:
-                print(
-                    f"note: {entry.redraws} tie redraws at n={entry.n} "
-                    f"for {entry.statistic.value}",
-                    file=sys.stderr,
-                )
+    for entry in run_moment_study(
+        seed=args.seed,
+        sample_sizes=_parse_n_list(args.n_list),
+        replications=args.reps,
+        threads=_threads(args),
+    ):
+        s = entry.summary
+        rows.append([entry.statistic.value, entry.n, s.em, s.ev, s.bias, s.rmse])
+        if entry.redraws:
+            print(
+                f"note: {entry.redraws} tie redraws at n={entry.n} "
+                f"for {entry.statistic.value}",
+                file=sys.stderr,
+            )
     path = Path(args.out) if args.out else None
     _write_csv(path, ["statistic", "n", "em", "ev", "bias", "rmse"],
                rows, args.full_precision)
@@ -254,13 +240,11 @@ def _cmd_simulate_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_kstest(args: argparse.Namespace) -> int:
-    _check_simulate(args)
-    sizes = _parse_n_list(args.n_list)
     rows = [
         [entry.n, entry.combination, entry.outcome.statistic, entry.outcome.p_value]
         for entry in run_ks_study(
             seed=args.seed,
-            sample_sizes=sizes,
+            sample_sizes=_parse_n_list(args.n_list),
             replications=args.reps,
             threads=_threads(args),
         )
@@ -284,13 +268,9 @@ def _curve_paths(out: str) -> tuple[Path, Path]:
 def _cmd_simulate_curves(args: argparse.Namespace) -> int:
     if not args.out:
         raise CliError("curves writes two files; --out is required")
-    _check_simulate(args)
-    if args.grid_size < 2:
-        raise CliError(f"--grid-size must be >= 2, got {args.grid_size}")
-    sizes = _parse_n_list(args.n_list)
     entries = run_curve_study(
         seed=args.seed,
-        sample_sizes=sizes,
+        sample_sizes=_parse_n_list(args.n_list),
         replications=args.reps,
         grid_size=args.grid_size,
         threads=_threads(args),
@@ -388,11 +368,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"footrule: {exc}", file=sys.stderr)
-        return exc.code
+        error, code = exc, exc.code
     except TiesError as exc:
-        print(f"footrule: {exc}", file=sys.stderr)
-        return EXIT_TIES
+        error, code = exc, EXIT_TIES
+    except ValueError as exc:
+        # Invalid study settings and other library input errors.
+        error, code = exc, EXIT_USAGE
+    print(f"footrule: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

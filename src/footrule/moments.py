@@ -23,23 +23,15 @@ class NullMoments:
     kind: Statistic
 
 
-@dataclass(frozen=True)
-class UniformIntegralConstants:
-    """Moments of |U-V| and U(1-U) for independent U, V ~ Uniform(0,1).
-
-    cov_abs_diff_u_one_minus_u couples |U1-V1| with U1(1-U1);
-    cov_abs_diff_shared couples |U1-V1| with |U1-V2| (shared U1).
-    """
-
-    e_abs_diff: Fraction = Fraction(1, 3)
-    e_u_one_minus_u: Fraction = Fraction(1, 6)
-    var_abs_diff: Fraction = Fraction(1, 18)
-    var_u_one_minus_u: Fraction = Fraction(1, 180)
-    cov_abs_diff_u_one_minus_u: Fraction = Fraction(-1, 180)
-    cov_abs_diff_shared: Fraction = Fraction(1, 180)
-
-
-UNIFORM_CONSTANTS = UniformIntegralConstants()
+# Moments of |U-V| and U(1-U) for independent U, V ~ Uniform(0,1).
+# COV_ABS_DIFF_U_ONE_MINUS_U couples |U1-V1| with U1(1-U1);
+# COV_ABS_DIFF_SHARED couples |U1-V1| with |U1-V2| (shared U1).
+E_ABS_DIFF = Fraction(1, 3)
+E_U_ONE_MINUS_U = Fraction(1, 6)
+VAR_ABS_DIFF = Fraction(1, 18)
+VAR_U_ONE_MINUS_U = Fraction(1, 180)
+COV_ABS_DIFF_U_ONE_MINUS_U = Fraction(-1, 180)
+COV_ABS_DIFF_SHARED = Fraction(1, 180)
 
 
 def null_variance_exact(n: int, kind: Statistic) -> Fraction:

@@ -54,29 +54,6 @@ class PairedSample:
 
 
 @dataclass(frozen=True)
-class RankPair:
-    """A pair of rank vectors, each a permutation of {1..n}."""
-
-    r: np.ndarray
-    s: np.ndarray
-    n: int
-
-    def __post_init__(self) -> None:
-        r = np.asarray(self.r, dtype=np.int64)
-        s = np.asarray(self.s, dtype=np.int64)
-        expected = np.arange(1, self.n + 1)
-        for name, vec in (("r", r), ("s", s)):
-            if vec.shape != (self.n,) or not np.array_equal(np.sort(vec), expected):
-                raise ValueError(f"{name} is not a permutation of 1..{self.n}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-
-    @classmethod
-    def from_sample(cls, sample: PairedSample) -> "RankPair":
-        return cls(compute_ranks(sample.x), compute_ranks(sample.y), sample.n)
-
-
-@dataclass(frozen=True)
 class FootruleResult:
     """The displacement sum D and the coefficient 1 - 3*D/(n^2 - 1).
 
@@ -164,11 +141,6 @@ def _footrule_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     _, _, x_tied, r = _rank_rows(x)
     _, _, y_tied, s = _rank_rows(y)
     return _displacement(r, s)[1], x_tied | y_tied
-
-
-def footrule_distance(ranks: RankPair) -> int:
-    """Total absolute displacement D = sum_i |r_i - s_i|."""
-    return int(np.abs(ranks.r - ranks.s).sum())
 
 
 def footrule_coefficient(sample: PairedSample, ties: str = "raise") -> FootruleResult:

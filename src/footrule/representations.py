@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import SampleSizeError, Statistic
+from .common import SampleSizeError
 
 
 @dataclass(frozen=True)
@@ -41,31 +41,21 @@ class UniformPairs:
         return len(self.u)
 
 
-@dataclass(frozen=True)
-class RepresentationValue:
-    n: int
-    value: float
-    kind: Statistic
-
-
-def double_sum_representation(pairs: UniformPairs) -> RepresentationValue:
+def double_sum_representation(pairs: UniformPairs) -> float:
     """First form: (3n^2/(n^2-1)) * (mean_{ij}|U_i - V_j| - mean_i|U_i - V_i|).
 
     The cross term is evaluated in O(n log n): with V sorted and
     prefix-summed, sum_j |u - V_j| = u*k - S_k + (S_n - S_k) - u*(n-k)
     where k counts V values at or below u.
     """
-    n = pairs.n
-    if n < 2:
+    if pairs.n < 2:
         raise SampleSizeError("double-sum form needs n >= 2 (n^2 - 1 vanishes)")
-    value = float(_double_sum_rows(pairs.u, pairs.v))
-    return RepresentationValue(n=n, value=value, kind=Statistic.DOUBLE_SUM)
+    return float(_double_sum_rows(pairs.u, pairs.v))
 
 
-def hajek_representation(pairs: UniformPairs) -> RepresentationValue:
+def hajek_representation(pairs: UniformPairs) -> float:
     """Second form: (3/(n+1)) * sum_i (2/3 - |U_i-V_i| - U_i(1-U_i) - V_i(1-V_i))."""
-    value = float(_hajek_rows(pairs.u, pairs.v))
-    return RepresentationValue(n=pairs.n, value=value, kind=Statistic.HAJEK)
+    return float(_hajek_rows(pairs.u, pairs.v))
 
 
 def u_kernel(p1: tuple[float, float], p2: tuple[float, float]) -> float:

@@ -185,12 +185,7 @@ def _uniform_rows(
     return ((m >> 11) + 1 - borrow) / float(_UNIT), rejected
 
 
-def _draw_value(
-    key: StreamKey,
-    n: int,
-    statistic: Statistic,
-    scale_by_sqrt_n: bool,
-) -> tuple[float, int]:
+def _draw_value(key: StreamKey, n: int, statistic: Statistic) -> tuple[float, int]:
     """One statistic value plus the number of tie-forced redraws.
 
     The scalar path: the batched engine's reference and its fallback.
@@ -204,27 +199,20 @@ def _draw_value(
             if statistic is Statistic.FOOTRULE:
                 value = footrule_coefficient(PairedSample(u, v)).phi
             elif statistic is Statistic.DOUBLE_SUM:
-                value = double_sum_representation(UniformPairs(u, v)).value
+                value = double_sum_representation(UniformPairs(u, v))
             else:
-                value = hajek_representation(UniformPairs(u, v)).value
+                value = hajek_representation(UniformPairs(u, v))
         except TiesError:
             # Machine-equal uniforms; essentially never, but stay exact.
             redraws += 1
             if redraws > _MAX_REDRAWS:
                 raise
             continue
-        if scale_by_sqrt_n:
-            value *= math.sqrt(n)
         return value, redraws
 
 
-def draw_statistic(
-    key: StreamKey,
-    n: int,
-    statistic: Statistic,
-    scale_by_sqrt_n: bool = False,
-) -> float:
-    """Draw one value of the statistic at sample size n under independence.
+def draw_statistic(key: StreamKey, n: int, statistic: Statistic) -> float:
+    """One unscaled draw of the statistic at sample size n under independence.
 
     The rank statistic is simulated on uniform marginals, which is valid
     because ranking makes it distribution-free: any strictly increasing
@@ -235,7 +223,7 @@ def draw_statistic(
         raise SampleSizeError(f"{statistic.value} needs n >= 2")
     if n < 1:
         raise SampleSizeError("n must be positive")
-    value, _ = _draw_value(key, n, statistic, scale_by_sqrt_n)
+    value, _ = _draw_value(key, n, statistic)
     return value
 
 
@@ -244,7 +232,6 @@ def _draw_chunk(
     seed: int,
     n: int,
     statistic: Statistic,
-    scale_by_sqrt_n: bool,
     lo: int,
     hi: int,
 ) -> int:
@@ -260,16 +247,12 @@ def _draw_chunk(
         out = _double_sum_rows(u, v)
     else:
         out = _hajek_rows(u, v)
-    if scale_by_sqrt_n:
-        out *= math.sqrt(n)
     values[lo:hi] = out
     redraws = 0
     # Rows numpy would have drawn again, and tied rank rows, go the scalar way.
     for row in np.flatnonzero(redo):
         rep = lo + int(row)
-        values[rep], extra = _draw_value(
-            StreamKey(seed, rep), n, statistic, scale_by_sqrt_n
-        )
+        values[rep], extra = _draw_value(StreamKey(seed, rep), n, statistic)
         redraws += extra
     return redraws
 
@@ -279,7 +262,6 @@ def _draw_many(
     n: int,
     statistic: Statistic,
     replications: int,
-    scale_by_sqrt_n: bool,
     threads: int,
 ) -> tuple[np.ndarray, int]:
     """All replication values, stream_id = replication index.
@@ -295,31 +277,12 @@ def _draw_many(
 
     def fill(lo: int) -> int:
         hi = min(lo + step, replications)
-        return _draw_chunk(values, seed, n, statistic, scale_by_sqrt_n, lo, hi)
+        return _draw_chunk(values, seed, n, statistic, lo, hi)
 
     if threads <= 1 or len(starts) == 1:
         return values, sum(map(fill, starts))
     with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
         return values, sum(pool.map(fill, starts))
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Settings for a replication study of a single statistic."""
-
-    seed: int
-    replications: int
-    sample_sizes: tuple[int, ...]
-    statistic: Statistic
-    scale_by_sqrt_n: bool = False
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        _check_word("seed", self.seed)
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if not self.sample_sizes or min(self.sample_sizes) < 2:
-            raise ValueError("sample sizes must all be >= 2")
 
 
 @dataclass(frozen=True)
@@ -349,26 +312,31 @@ class CurveRow:
     ref_cdf: np.ndarray = field(repr=False)
 
 
-def run_moment_study(config: SimConfig) -> list[MomentRow]:
-    """Summaries of the statistic against the true null value 0, per n."""
+def _check_study(seed: int, sample_sizes: tuple[int, ...], replications: int) -> None:
+    """Reject study settings before anything is drawn."""
+    _check_word("seed", seed)
+    if replications < 2:
+        raise ValueError(f"replications must be >= 2, got {replications}")
+    if not sample_sizes or min(sample_sizes) < 2:
+        raise ValueError(f"sample sizes must all be >= 2, got {list(sample_sizes)}")
+
+
+def run_moment_study(
+    seed: int,
+    sample_sizes: tuple[int, ...],
+    replications: int = 10_000,
+    threads: int = 1,
+) -> list[MomentRow]:
+    """Summaries of each statistic against the true null value 0.
+
+    Rows run statistic by statistic, and by n within a statistic.
+    """
+    _check_study(seed, sample_sizes, replications)
     rows = []
-    for n in config.sample_sizes:
-        values, redraws = _draw_many(
-            config.seed,
-            n,
-            config.statistic,
-            config.replications,
-            config.scale_by_sqrt_n,
-            config.threads,
-        )
-        rows.append(
-            MomentRow(
-                statistic=config.statistic,
-                n=n,
-                summary=summarize(values, 0.0),
-                redraws=redraws,
-            )
-        )
+    for stat in Statistic:
+        for n in sample_sizes:
+            values, redraws = _draw_many(seed, n, stat, replications, threads)
+            rows.append(MomentRow(stat, n, summarize(values, 0.0), redraws))
     return rows
 
 
@@ -378,11 +346,13 @@ def _statistic_pools(
     replications: int,
     threads: int,
 ) -> dict[str, np.ndarray]:
+    """sqrt(n)-scaled draws of each statistic at n, by CSV label."""
     pools: dict[str, np.ndarray] = {}
     for stat in Statistic:
-        values, redraws = _draw_many(seed, n, stat, replications, True, threads)
+        values, redraws = _draw_many(seed, n, stat, replications, threads)
         if redraws:
             log.info("n=%d %s: %d tie redraws", n, stat.value, redraws)
+        values *= math.sqrt(n)
         pools[stat.value] = values
     return pools
 
@@ -400,7 +370,7 @@ def run_ks_study(
     Pairs against "normal" are one-sample tests against the limiting
     Normal(0, 2/5) CDF; statistic pairs are two-sample tests.
     """
-    _check_word("seed", seed)
+    _check_study(seed, sample_sizes, replications)
 
     def reference(t: float) -> float:
         return normal_cdf(t, 0.0, limiting_variance())
@@ -429,7 +399,9 @@ def run_curve_study(
     The ECDF and the reference Normal(0, 2/5) curves are evaluated on
     the KDE's grid so each (statistic, n) shares a single axis.
     """
-    _check_word("seed", seed)
+    _check_study(seed, sample_sizes, replications)
+    if grid_size < 2:
+        raise ValueError(f"grid size must be >= 2, got {grid_size}")
     var = limiting_variance()
     rows = []
     for n in sample_sizes:

@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
+from footrule import moments
 from footrule.cli import main
 from footrule.common import Statistic
-from footrule.moments import UNIFORM_CONSTANTS, cond_exp_abs_diff, null_variance_exact
+from footrule.moments import cond_exp_abs_diff, null_variance_exact
 from footrule.ranks import enumerate_null_distribution
 from footrule.representations import (
     UniformPairs,
@@ -21,7 +22,6 @@ from footrule.representations import (
     hajek_representation,
 )
 from footrule.simulate import (
-    SimConfig,
     StreamKey,
     draw_statistic,
     run_ks_study,
@@ -40,10 +40,11 @@ def report(criterion, passed, detail):
 
 
 def draw_block(seed, n, statistic, replications, scaled=False):
-    return np.array([
-        draw_statistic(StreamKey(seed, rep), n, statistic, scale_by_sqrt_n=scaled)
+    values = np.array([
+        draw_statistic(StreamKey(seed, rep), n, statistic)
         for rep in range(replications)
     ])
+    return values * math.sqrt(n) if scaled else values
 
 
 def variance_estimator_se(values):
@@ -107,11 +108,9 @@ def test_criterion_2_table2_moments():
 def test_criterion_3_rmse_trend():
     start = time.perf_counter()
     sizes = tuple(range(10, 101, 10))
-    rmse = {}
-    for stat in STATS:
-        config = SimConfig(seed=SEED, replications=10_000, sample_sizes=sizes,
-                           statistic=stat)
-        rmse[stat] = [row.summary.rmse for row in run_moment_study(config)]
+    rmse = {stat: [] for stat in STATS}
+    for row in run_moment_study(seed=SEED, sample_sizes=sizes, replications=10_000):
+        rmse[row.statistic].append(row.summary.rmse)
     decreasing = all(
         all(b < a for a, b in zip(series, series[1:])) for series in rmse.values()
     )
@@ -181,8 +180,8 @@ def coupled_draws(seed, n, reps):
     for rep in range(reps):
         vec = uniform_open(StreamKey(seed, rep).generator(block=n), size=2 * n)
         pairs = UniformPairs(vec[:n], vec[n:])
-        first[rep] = double_sum_representation(pairs).value
-        second[rep] = hajek_representation(pairs).value
+        first[rep] = double_sum_representation(pairs)
+        second[rep] = hajek_representation(pairs)
     return first, second
 
 
@@ -212,20 +211,20 @@ def test_criterion_8_uniform_integral_constants():
     a = np.abs(u - v)
     b = u * (1.0 - u)
     a_shared = np.abs(u - v2)
-    c = UNIFORM_CONSTANTS
     checks = []
 
     def within(name, estimate, target, se):
         checks.append((name, abs(estimate - float(target)) <= 4.0 * se))
 
-    within("E|U-V|", a.mean(), c.e_abs_diff, a.std(ddof=1) / math.sqrt(big))
-    within("E U(1-U)", b.mean(), c.e_u_one_minus_u, b.std(ddof=1) / math.sqrt(big))
-    within("Var|U-V|", np.var(a, ddof=1), c.var_abs_diff, variance_estimator_se(a))
-    within("Var U(1-U)", np.var(b, ddof=1), c.var_u_one_minus_u, variance_estimator_se(b))
+    within("E|U-V|", a.mean(), moments.E_ABS_DIFF, a.std(ddof=1) / math.sqrt(big))
+    within("E U(1-U)", b.mean(), moments.E_U_ONE_MINUS_U, b.std(ddof=1) / math.sqrt(big))
+    within("Var|U-V|", np.var(a, ddof=1), moments.VAR_ABS_DIFF, variance_estimator_se(a))
+    within("Var U(1-U)", np.var(b, ddof=1), moments.VAR_U_ONE_MINUS_U,
+           variance_estimator_se(b))
     cov_ab, se_ab = covariance_and_se(a, b)
-    within("Cov(|U-V|,U(1-U))", cov_ab, c.cov_abs_diff_u_one_minus_u, se_ab)
+    within("Cov(|U-V|,U(1-U))", cov_ab, moments.COV_ABS_DIFF_U_ONE_MINUS_U, se_ab)
     cov_shared, se_shared = covariance_and_se(a, a_shared)
-    within("Cov shared U", cov_shared, c.cov_abs_diff_shared, se_shared)
+    within("Cov shared U", cov_shared, moments.COV_ABS_DIFF_SHARED, se_shared)
 
     cond_gen = StreamKey(SEED, 1).generator(block=0)
     for u0 in [round(0.1 * k, 1) for k in range(1, 10)]:

@@ -198,6 +198,15 @@ class TestSimulateCommands:
         for r in cdf_rows:
             assert 0.0 <= float(r[3]) <= 1.0
 
+    def test_curves_unwritable_cdf_removes_density(self, tmp_path, capsys):
+        (tmp_path / "c_cdf.csv").mkdir()
+        assert main([
+            "simulate", "curves", "--n-list", "10", "--reps", "20",
+            "--grid-size", "16", "--out", str(tmp_path / "c"),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("footrule: cannot write")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c_cdf.csv"]
+
     def test_curves_requires_out(self, capsys):
         assert main(["simulate", "curves", "--n-list", "10", "--reps", "50"]) == 2
 
@@ -229,11 +238,21 @@ class TestSimulateCommands:
     (["stat", "{csv}", "--exact"], ["1.0,2.0", "2.0,inf", "3.0,4.0"], 2),
     (["stat", "{csv}"], ["inf,2.0", "inf,3.0", "2.0,4.0"], 2),
     (["stat", "{csv}"], ["1.0,2.0", "1.0,3.0", "2.0,4.0"], 3),
+    (["stat", "{csv}"], b"1.0,2.0\n\xff,3.0\n2.0,4.0\n", 2),
+    (["stat", "{csv}"], ["1.0,2.0", '"' + "1" * 131073 + '",3.0', "2.0,4.0"], 2),
+    (["simulate", "moments", "--reps", "2", "--n-list", "10", "--out", "{dir}/no/m.csv"],
+     None, 2),
+    (["exact", "5", "--out", "{dir}/no/e.csv"], None, 2),
+    (["stat", "{csv}", "--out", "{dir}/no/s.csv"], ["1.0,2.0", "2.0,3.0"], 2),
 ], ids=["moments-reps", "kstest-reps", "curves-reps", "grid-size", "seed-negative",
-        "seed-too-large", "nan-cell", "inf-cell", "inf-pair", "ties"])
+        "seed-too-large", "nan-cell", "inf-cell", "inf-pair", "ties", "non-utf8",
+        "oversized-field", "moments-out-missing-dir", "exact-out-missing-dir",
+        "stat-out-missing-dir"])
 def test_bad_input_exit_codes(tmp_path, capsys, argv, lines, code):
     csv_path = tmp_path / "data.csv"
-    if lines is not None:
+    if isinstance(lines, bytes):
+        csv_path.write_bytes(lines)
+    elif lines is not None:
         write_lines(csv_path, lines)
     argv = [a.format(dir=tmp_path, csv=csv_path) for a in argv]
     assert main(argv) == code

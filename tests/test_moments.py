@@ -3,9 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from footrule import moments
 from footrule.common import SampleSizeError, Statistic
 from footrule.moments import (
-    UNIFORM_CONSTANTS,
     cond_exp_abs_diff,
     limiting_variance,
     null_moments,
@@ -86,22 +86,20 @@ class TestCondExpAbsDiff:
 
 class TestUniformConstants:
     def test_exact_rationals(self):
-        c = UNIFORM_CONSTANTS
-        assert c.e_abs_diff == Fraction(1, 3)
-        assert c.e_u_one_minus_u == Fraction(1, 6)
-        assert c.var_abs_diff == Fraction(1, 18)
-        assert c.var_u_one_minus_u == Fraction(1, 180)
-        assert c.cov_abs_diff_u_one_minus_u == Fraction(-1, 180)
-        assert c.cov_abs_diff_shared == Fraction(1, 180)
+        assert moments.E_ABS_DIFF == Fraction(1, 3)
+        assert moments.E_U_ONE_MINUS_U == Fraction(1, 6)
+        assert moments.VAR_ABS_DIFF == Fraction(1, 18)
+        assert moments.VAR_U_ONE_MINUS_U == Fraction(1, 180)
+        assert moments.COV_ABS_DIFF_U_ONE_MINUS_U == Fraction(-1, 180)
+        assert moments.COV_ABS_DIFF_SHARED == Fraction(1, 180)
 
     def test_variance_formulas_rebuild_from_constants(self):
         # Var of one projected-form summand is 1/18 + 2/180 - 4/180 = 2/45,
         # which scaled by (3/(n+1))^2 * n reproduces the closed form.
-        c = UNIFORM_CONSTANTS
         per_term = (
-            c.var_abs_diff
-            + 2 * c.var_u_one_minus_u
-            + 4 * c.cov_abs_diff_u_one_minus_u
+            moments.VAR_ABS_DIFF
+            + 2 * moments.VAR_U_ONE_MINUS_U
+            + 4 * moments.COV_ABS_DIFF_U_ONE_MINUS_U
         )
         assert per_term == Fraction(2, 45)
         for n in (1, 5, 50):

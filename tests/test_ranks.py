@@ -7,11 +7,9 @@ from footrule.common import NonFiniteError, SampleSizeError, TiesError
 from footrule.ranks import (
     ExactNullDistribution,
     PairedSample,
-    RankPair,
     compute_ranks,
     enumerate_null_distribution,
     footrule_coefficient,
-    footrule_distance,
     max_distance,
 )
 
@@ -61,17 +59,11 @@ class TestComputeRanks:
             compute_ranks([1.0, 2.0], ties="sport")
 
 
-class TestRankPair:
-    def test_validates_permutations(self):
-        with pytest.raises(ValueError):
-            RankPair(r=[1, 1, 3], s=[1, 2, 3], n=3)
-        with pytest.raises(ValueError):
-            RankPair(r=[1, 2, 3], s=[0, 1, 2], n=3)
-
+class TestRankVectors:
     def test_from_sample(self):
-        pair = RankPair.from_sample(PairedSample([2.5, 1.1, 7.0], [1.0, 2.0, 0.5]))
-        assert pair.r.tolist() == [2, 1, 3]
-        assert pair.s.tolist() == [2, 3, 1]
+        sample = PairedSample([2.5, 1.1, 7.0], [1.0, 2.0, 0.5])
+        assert compute_ranks(sample.x).tolist() == [2, 1, 3]
+        assert compute_ranks(sample.y).tolist() == [2, 3, 1]
 
     def test_double_sum_identity(self):
         # sum_ij |r_i - s_j| = n(n^2-1)/3 for every pair of permutations
@@ -85,13 +77,14 @@ class TestRankPair:
 
 class TestFootruleDistance:
     def test_identical_ranks(self):
-        assert footrule_distance(RankPair([1, 2, 3], [1, 2, 3], 3)) == 0
+        assert footrule_coefficient(PairedSample([1, 2, 3], [1, 2, 3])).distance == 0
 
     def test_reversal(self):
-        assert footrule_distance(RankPair([1, 2, 3], [3, 2, 1], 3)) == 4
+        assert footrule_coefficient(PairedSample([1, 2, 3], [3, 2, 1])).distance == 4
 
     def test_hand_sum_n5(self):
-        assert footrule_distance(RankPair([1, 2, 3, 4, 5], [2, 1, 3, 5, 4], 5)) == 4
+        sample = PairedSample([1, 2, 3, 4, 5], [2, 1, 3, 5, 4])
+        assert footrule_coefficient(sample).distance == 4
 
 
 class TestFootruleCoefficient:

@@ -19,7 +19,6 @@ from footrule.representations import (
 )
 from footrule.simulate import (
     KS_COMBINATIONS,
-    SimConfig,
     StreamKey,
     _block,
     _draw_many,
@@ -98,12 +97,6 @@ class TestDrawStatistic:
             assert d == pytest.approx(round(d), abs=1e-9)
             assert round(d) % 2 == 0
 
-    def test_scaling_applied_at_draw_time(self):
-        key = StreamKey(5, 99)
-        raw = draw_statistic(key, 30, Statistic.HAJEK)
-        scaled = draw_statistic(key, 30, Statistic.HAJEK, scale_by_sqrt_n=True)
-        assert scaled == raw * math.sqrt(30)
-
     def test_paper_marginals_bit_identical(self):
         # ranking is invariant under the strictly increasing inverse-normal
         # transform, so normal-x data give the uniform draw's value exactly
@@ -147,20 +140,17 @@ class TestDrawStatistic:
 
 class TestMomentStudy:
     def test_smoke_counts(self):
-        config = SimConfig(
-            seed=1, replications=3, sample_sizes=(5, 9), statistic=Statistic.HAJEK
-        )
-        rows = run_moment_study(config)
-        assert [row.n for row in rows] == [5, 9]
+        rows = run_moment_study(seed=1, sample_sizes=(5, 9), replications=3)
+        assert [(row.statistic, row.n) for row in rows] == [
+            (stat, n) for stat in Statistic for n in (5, 9)
+        ]
         assert all(row.summary.count == 3 for row in rows)
         assert all(row.redraws == 0 for row in rows)
 
     @pytest.mark.parametrize("stat", list(Statistic), ids=lambda s: s.value)
     def test_matches_manual_replication_loop(self, stat):
-        config = SimConfig(
-            seed=11, replications=100, sample_sizes=(12,), statistic=stat
-        )
-        row = run_moment_study(config)[0]
+        rows = run_moment_study(seed=11, sample_sizes=(12,), replications=100)
+        [row] = [row for row in rows if row.statistic is stat]
         values = [
             draw_statistic(StreamKey(11, rep), 12, stat)
             for rep in range(100)
@@ -170,32 +160,26 @@ class TestMomentStudy:
 
     def test_thread_count_never_changes_results(self):
         base = dict(seed=2, replications=500, sample_sizes=(10, 20))
-        for stat in Statistic:
-            one = run_moment_study(SimConfig(statistic=stat, threads=1, **base))
-            four = run_moment_study(SimConfig(statistic=stat, threads=4, **base))
-            assert one == four
+        one = run_moment_study(threads=1, **base)
+        four = run_moment_study(threads=4, **base)
+        assert one == four
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SimConfig(seed=0, replications=0, sample_sizes=(5,), statistic=Statistic.HAJEK)
+            run_moment_study(seed=0, sample_sizes=(5,), replications=0)
         with pytest.raises(ValueError):
-            SimConfig(seed=0, replications=5, sample_sizes=(1,), statistic=Statistic.HAJEK)
+            run_moment_study(seed=0, sample_sizes=(1,), replications=5)
 
     def test_variance_tracks_formula_at_n50(self):
-        config = SimConfig(
-            seed=6, replications=4000, sample_sizes=(50,), statistic=Statistic.HAJEK
-        )
-        row = run_moment_study(config)[0]
+        rows = run_moment_study(seed=6, sample_sizes=(50,), replications=4000)
+        [row] = [row for row in rows if row.statistic is Statistic.HAJEK]
         target = float(null_variance_exact(50, Statistic.HAJEK))
         se = target * math.sqrt(2.0 / (4000 - 1))
         assert row.summary.ev == pytest.approx(target, abs=4 * se)
 
     def test_footrule_rmse_window_at_n100(self):
-        config = SimConfig(
-            seed=42, replications=10_000, sample_sizes=(100,),
-            statistic=Statistic.FOOTRULE,
-        )
-        row = run_moment_study(config)[0]
+        rows = run_moment_study(seed=42, sample_sizes=(100,), replications=10_000)
+        [row] = [row for row in rows if row.statistic is Statistic.FOOTRULE]
         assert 0.058 <= row.summary.rmse <= 0.068
 
 
@@ -223,7 +207,7 @@ class TestKsStudy:
 
     def test_footrule_repetition_at_n10(self):
         values = [
-            draw_statistic(StreamKey(4, rep), 10, Statistic.FOOTRULE, scale_by_sqrt_n=True)
+            draw_statistic(StreamKey(4, rep), 10, Statistic.FOOTRULE) * math.sqrt(10)
             for rep in range(1000)
         ]
         assert len(set(values)) < 60  # the scaled statistic has few atoms
@@ -240,14 +224,35 @@ class TestKsStudy:
             hits = 0
             for i in range(10):
                 values = [
-                    draw_statistic(
-                        StreamKey(500 + i, rep), n, Statistic.HAJEK, scale_by_sqrt_n=True
-                    )
+                    draw_statistic(StreamKey(500 + i, rep), n, Statistic.HAJEK) * math.sqrt(n)
                     for rep in range(1000)
                 ]
                 outcome = ks_one_sample(values, lambda t: normal_cdf(t, 0.0, 0.4))
                 hits += outcome.p_value > 0.01
             assert hits >= 8, f"n={n}: only {hits}/10 seeds above 0.01"
+
+
+_BAD_SETTINGS = {
+    "n-below-2": dict(sample_sizes=(10, 1)),
+    "reps-below-2": dict(replications=1),
+    "seed-negative": dict(seed=-1),
+    "seed-too-large": dict(seed=2**64),
+}
+
+
+@pytest.mark.parametrize("study, bad", [
+    *((study, bad) for study in (run_moment_study, run_ks_study, run_curve_study)
+      for bad in _BAD_SETTINGS.values()),
+    (run_curve_study, dict(grid_size=1)),
+], ids=[*(f"{study}-{name}" for study in ("moments", "kstest", "curves")
+          for name in _BAD_SETTINGS), "curves-grid-size"])
+def test_invalid_study_settings_rejected_before_drawing(monkeypatch, study, bad):
+    def no_draws(*args):
+        raise AssertionError("drew before validating the settings")
+
+    monkeypatch.setattr(simulate, "_draw_many", no_draws)
+    with pytest.raises(ValueError):
+        study(**{"seed": 1, "sample_sizes": (10,), "replications": 50, **bad})
 
 
 class TestCurveStudy:
@@ -342,7 +347,7 @@ class TestBatchedEngine:
             words[3, 0] = 0  # 0 * (2^53 - 1) leaves low word 0 < 2048
 
         scalar_keys = self._spy(monkeypatch, edit)
-        values, redraws = _draw_many(5, 9, stat, 8, False, 1)
+        values, redraws = _draw_many(5, 9, stat, 8, 1)
         assert scalar_keys == [StreamKey(5, 3)]
         assert redraws == 0
         expected = [draw_statistic(StreamKey(5, rep), 9, stat) for rep in range(8)]
@@ -353,7 +358,7 @@ class TestBatchedEngine:
             words[5, 1] = words[5, 0]  # u_0 == u_1 in replication 5
 
         scalar_keys = self._spy(monkeypatch, edit)
-        values, _ = _draw_many(5, 9, Statistic.FOOTRULE, 8, False, 1)
+        values, _ = _draw_many(5, 9, Statistic.FOOTRULE, 8, 1)
         assert scalar_keys == [StreamKey(5, 5)]
         expected = [draw_statistic(StreamKey(5, rep), 9, Statistic.FOOTRULE)
                     for rep in range(8)]
@@ -382,9 +387,9 @@ class TestBatchedEngine:
                 assert phi[i] == footrule_coefficient(PairedSample(u[i], v[i])).phi
                 assert phi[i] == reference_footrule(u[i], v[i])
             pairs = UniformPairs(u[i], v[i])
-            assert double_sum[i] == double_sum_representation(pairs).value
+            assert double_sum[i] == double_sum_representation(pairs)
             assert double_sum[i] == reference_double_sum(u[i], v[i])
-            assert hajek[i] == hajek_representation(pairs).value
+            assert hajek[i] == hajek_representation(pairs)
             assert hajek[i] == reference_hajek(u[i], v[i])
 
     def test_threads_bytes_identical_over_several_chunks(self, tmp_path):
