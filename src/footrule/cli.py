@@ -2,7 +2,7 @@
 
 Commands:
   stat      compute the coefficient on a two-column CSV and test independence
-  exact     dump the exact permutation null distribution for small n
+  exact     dump the exact permutation null distribution (n <= 100)
   simulate  run the moments / kstest / curves studies and emit CSV
 
 Exit codes: 0 success, 2 usage errors (including invalid study settings,
@@ -23,7 +23,7 @@ from pathlib import Path
 from .common import TiesError
 from .moments import limiting_variance
 from .ranks import (
-    ENUMERATION_MAX_N,
+    EXACT_MAX_N,
     ExactNullDistribution,
     PairedSample,
     enumerate_null_distribution,
@@ -143,8 +143,8 @@ def _independence_report(sample: PairedSample, exact: bool) -> TestReport:
     result = footrule_coefficient(sample)
     z = math.sqrt(result.n) * result.phi / math.sqrt(limiting_variance())
     if exact:
-        if result.n > ENUMERATION_MAX_N:
-            raise CliError(f"--exact supports n <= {ENUMERATION_MAX_N}, got {result.n}")
+        if result.n > EXACT_MAX_N:
+            raise CliError(f"--exact supports n <= {EXACT_MAX_N}, got {result.n}")
         dist = enumerate_null_distribution(result.n)
         p = float(dist.two_sided_p(int(result.distance)))
         method = METHOD_EXACT
@@ -164,11 +164,7 @@ def _independence_report(sample: PairedSample, exact: bool) -> TestReport:
 def _cmd_stat(args: argparse.Namespace) -> int:
     report = _independence_report(_read_paired_csv(args.input, args.header), args.exact)
     full = args.full_precision
-    print(f"n         {report.n}")
-    print(f"distance  {report.distance}")
-    print(f"phi       {_fmt(report.phi, full)}")
-    print(f"z         {_fmt(report.z, full)}")
-    print(f"p-value   {_fmt(report.p_two_sided, full)} ({report.method})")
+    # The CSV goes first, so a run whose --out fails prints no report.
     if args.out:
         _write_csv(
             Path(args.out),
@@ -177,7 +173,29 @@ def _cmd_stat(args: argparse.Namespace) -> int:
               report.p_two_sided, report.method]],
             full,
         )
+    print(f"n         {report.n}")
+    print(f"distance  {report.distance}")
+    print(f"phi       {_fmt(report.phi, full)}")
+    print(f"z         {_fmt(report.z, full)}")
+    print(f"p-value   {_fmt(report.p_two_sided, full)} ({report.method})")
     return EXIT_OK
+
+
+def _out_path(out: str | None) -> Path | None:
+    """The --out path, checked before the command's work starts.
+
+    A missing or unwritable directory fails at once instead of after a
+    whole study or exact-law build; `_write_csv` still reports any later
+    write error.
+    """
+    if not out:
+        return None
+    path = Path(out)
+    if not path.parent.is_dir():
+        raise CliError(f"cannot write {path}: no directory {path.parent}")
+    if not os.access(path.parent, os.W_OK | os.X_OK):
+        raise CliError(f"cannot write {path}: directory {path.parent} is not writable")
+    return path
 
 
 def _exact_rows(dist: ExactNullDistribution):
@@ -187,10 +205,10 @@ def _exact_rows(dist: ExactNullDistribution):
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    if not 2 <= args.n <= ENUMERATION_MAX_N:
-        raise CliError(f"n must be in [2, {ENUMERATION_MAX_N}], got {args.n}")
+    if not 2 <= args.n <= EXACT_MAX_N:
+        raise CliError(f"n must be in [2, {EXACT_MAX_N}], got {args.n}")
+    path = _out_path(args.out)
     dist = enumerate_null_distribution(args.n)
-    path = Path(args.out) if args.out else None
     _write_csv(path, ["d", "count", "phi", "probability"],
                _exact_rows(dist), args.full_precision)
     return EXIT_OK
@@ -218,6 +236,7 @@ def _threads(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate_moments(args: argparse.Namespace) -> int:
+    path = _out_path(args.out)
     rows = []
     for entry in run_moment_study(
         seed=args.seed,
@@ -233,13 +252,13 @@ def _cmd_simulate_moments(args: argparse.Namespace) -> int:
                 f"for {entry.statistic.value}",
                 file=sys.stderr,
             )
-    path = Path(args.out) if args.out else None
     _write_csv(path, ["statistic", "n", "em", "ev", "bias", "rmse"],
                rows, args.full_precision)
     return EXIT_OK
 
 
 def _cmd_simulate_kstest(args: argparse.Namespace) -> int:
+    path = _out_path(args.out)
     rows = [
         [entry.n, entry.combination, entry.outcome.statistic, entry.outcome.p_value]
         for entry in run_ks_study(
@@ -249,14 +268,12 @@ def _cmd_simulate_kstest(args: argparse.Namespace) -> int:
             threads=_threads(args),
         )
     ]
-    path = Path(args.out) if args.out else None
     _write_csv(path, ["n", "combination", "ks_stat", "p_value"],
                rows, args.full_precision)
     return EXIT_OK
 
 
-def _curve_paths(out: str) -> tuple[Path, Path]:
-    base = Path(out)
+def _curve_paths(base: Path) -> tuple[Path, Path]:
     if base.suffix == ".csv":
         base = base.with_suffix("")
     return (
@@ -268,6 +285,7 @@ def _curve_paths(out: str) -> tuple[Path, Path]:
 def _cmd_simulate_curves(args: argparse.Namespace) -> int:
     if not args.out:
         raise CliError("curves writes two files; --out is required")
+    density_path, cdf_path = _curve_paths(_out_path(args.out))
     entries = run_curve_study(
         seed=args.seed,
         sample_sizes=_parse_n_list(args.n_list),
@@ -284,7 +302,6 @@ def _cmd_simulate_curves(args: argparse.Namespace) -> int:
             density_rows.append([label, entry.n, g, dens, ref])
         for g, height, ref in zip(entry.cdf.grid, entry.cdf.values, entry.ref_cdf):
             cdf_rows.append([label, entry.n, g, height, ref])
-    density_path, cdf_path = _curve_paths(args.out)
     _write_csv(density_path, ["statistic", "n", "grid", "density", "ref_density"],
                density_rows, args.full_precision)
     try:
@@ -329,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     stat.add_argument("--header", action="store_true",
                       help="first row is a header, skip it")
     stat.add_argument("--exact", action="store_true",
-                      help="exact permutation p-value (n <= 10)")
+                      help=f"exact permutation p-value (n <= {EXACT_MAX_N})")
     stat.add_argument("--out", help="also write the report as CSV")
     stat.add_argument("--full-precision", action="store_true",
                       help="emit shortest round-trip decimals instead of 5 places")
     stat.set_defaults(func=_cmd_stat)
 
     exact = sub.add_parser("exact", help="exact null distribution as CSV")
-    exact.add_argument("n", type=int, help="sample size, 2..10")
+    exact.add_argument("n", type=int, help=f"sample size, 2..{EXACT_MAX_N}")
     exact.add_argument("--out", help="output CSV path (default: stdout)")
     exact.add_argument("--full-precision", action="store_true",
                        help="emit shortest round-trip decimals instead of 5 places")

@@ -4,7 +4,8 @@ The coefficient for a paired sample is 1 - 3*D/(n^2 - 1) where D is the
 total absolute displacement between the two rank vectors. Under
 independence its null distribution depends only on D's distribution over
 uniformly random permutations, which `enumerate_null_distribution`
-tabulates exactly for small n.
+counts exactly, for n up to EXACT_MAX_N, by a dynamic programme over
+open pairs rather than by listing the n! permutations.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .common import NonFiniteError, SampleSizeError, TiesError
 
-ENUMERATION_MAX_N = 10
+EXACT_MAX_N = 100
 
 _TIE_MODES = ("raise", "midrank")
 
@@ -218,38 +219,53 @@ class ExactNullDistribution:
         return Fraction(hits, self.total)
 
 
-def _permutation_table(n: int) -> np.ndarray:
-    """All permutations of {0..n-1} as an (n!, n) int8 array.
-
-    Built level by level: the table for size k is formed by inserting
-    the new largest element into every position of each size-(k-1) row.
-    """
-    perms = np.zeros((1, 1), dtype=np.int8)
-    for k in range(2, n + 1):
-        m = perms.shape[0]
-        grown = np.empty((m * k, k), dtype=np.int8)
-        for pos in range(k):
-            block = grown[pos * m:(pos + 1) * m]
-            block[:, pos] = k - 1
-            block[:, :pos] = perms[:, :pos]
-            block[:, pos + 1:] = perms[:, pos:]
-        perms = grown
-    return perms
-
-
 def enumerate_null_distribution(n: int) -> ExactNullDistribution:
-    """Tabulate D over every permutation of {1..n}.
+    """Count the permutations of {1..n} by displacement D, exactly.
 
-    Exact integer arithmetic throughout; capped at n = 10 (10! rows).
+    Transfer recursion over open pairs (Diaconis & Graham, JRSS-B 1977;
+    Guay-Paquet & Petersen, arXiv:1404.4674). Positions and values are
+    scanned together, t = 1..n. After step t, k positions <= t still wait
+    for a value > t and k values <= t for a position > t; each of these
+    2k pairs crosses the gap between t and t + 1, so D = sum_t 2*k_t.
+    Step t places position t and value t:
+
+    - k -> k, weight 2k + 1: t maps to t, or one of the two new items is
+      matched with one of the k open items of the other kind and the
+      other new item stays open;
+    - k -> k + 1, weight 1: both new items stay open;
+    - k -> k - 1, weight k^2: each new item closes an open one.
+
+    A state with k > n - t cannot close by step n and is dropped.
+
+    Each state is a polynomial in D/2 with integer coefficients, packed
+    into one Python int with a slot of `width` bytes per power, so that
+    shifting by k slots multiplies by (D/2)^k. Every coefficient counts
+    distinct partial permutations, so none exceeds n! and slots never
+    carry into each other. Exact integer arithmetic throughout, O(n^2)
+    big-int operations; capped at n = EXACT_MAX_N.
     """
     if n < 2:
-        raise SampleSizeError("enumeration needs n >= 2")
-    if n > ENUMERATION_MAX_N:
-        raise SampleSizeError(
-            f"enumeration capped at n = {ENUMERATION_MAX_N} ({ENUMERATION_MAX_N}! permutations)"
-        )
-    table = _permutation_table(n)
-    dists = np.abs(table.astype(np.int16) - np.arange(n, dtype=np.int16)).sum(axis=1)
-    tallies = np.bincount(dists, minlength=max_distance(n) + 1)
-    counts = {int(d): int(c) for d, c in enumerate(tallies) if c}
+        raise SampleSizeError("exact null law needs n >= 2")
+    if n > EXACT_MAX_N:
+        raise SampleSizeError(f"exact null law capped at n = {EXACT_MAX_N}")
+    width = math.factorial(n).bit_length() // 8 + 1
+    slot = 8 * width
+    rows = [1]  # rows[k]: packed polynomial of the states with k open pairs
+    for t in range(1, n + 1):
+        grown = []
+        for k in range(min(len(rows), n - t) + 1):
+            acc = rows[k - 1] if k else 0
+            if k < len(rows):
+                acc += rows[k] * (2 * k + 1)
+            if k + 1 < len(rows):
+                acc += rows[k + 1] * ((k + 1) * (k + 1))
+            grown.append(acc << (k * slot))
+        rows = grown
+    half_max = max_distance(n) // 2
+    packed = rows[0].to_bytes(width * (half_max + 1), "little")
+    counts = {}
+    for j in range(half_max + 1):
+        count = int.from_bytes(packed[j * width:(j + 1) * width], "little")
+        if count:
+            counts[2 * j] = count
     return ExactNullDistribution(n=n, counts=counts)

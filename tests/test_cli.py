@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from footrule import cli, simulate
 from footrule.cli import main
+from footrule.ranks import EXACT_MAX_N
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -57,8 +59,16 @@ class TestStatCommand:
 
     def test_exact_needs_small_n(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
-        write_lines(data, [f"{i},{i + 0.5}" for i in range(12)])
+        write_lines(data, [f"{i},{i + 0.5}" for i in range(EXACT_MAX_N + 1)])
         assert main(["stat", str(data), "--exact"]) == 2
+
+    def test_exact_at_n12(self, tmp_path, capsys):
+        # only the identity has D = 0, so P(|phi| >= 1) = 1/12!
+        data = tmp_path / "data.csv"
+        write_lines(data, [f"{i},{2 * i}" for i in range(12)])
+        assert main(["stat", str(data), "--exact", "--full-precision"]) == 0
+        out = capsys.readouterr().out
+        assert f"p-value   {1 / math.factorial(12)!r} (Exact)" in out
 
     def test_report_csv(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -104,7 +114,7 @@ class TestExactCommand:
         assert [r[3] for r in rows] == ["0.50000", "0.50000"]
 
     def test_cap_exits_2(self, capsys):
-        assert main(["exact", "11"]) == 2
+        assert main(["exact", str(EXACT_MAX_N + 1)]) == 2
         assert main(["exact", "1"]) == 2
 
     def test_probabilities_sum_to_one(self, tmp_path):
@@ -242,13 +252,25 @@ class TestSimulateCommands:
     (["stat", "{csv}"], ["1.0,2.0", '"' + "1" * 131073 + '",3.0', "2.0,4.0"], 2),
     (["simulate", "moments", "--reps", "2", "--n-list", "10", "--out", "{dir}/no/m.csv"],
      None, 2),
+    (["simulate", "kstest", "--reps", "2", "--n-list", "10", "--out", "{dir}/no/k.csv"],
+     None, 2),
+    (["simulate", "curves", "--reps", "2", "--n-list", "10", "--out", "{dir}/no/c"],
+     None, 2),
+    (["simulate", "moments", "--reps", "2", "--n-list", "10", "--out", "{csv}/m.csv"],
+     ["1.0,2.0"], 2),
     (["exact", "5", "--out", "{dir}/no/e.csv"], None, 2),
     (["stat", "{csv}", "--out", "{dir}/no/s.csv"], ["1.0,2.0", "2.0,3.0"], 2),
 ], ids=["moments-reps", "kstest-reps", "curves-reps", "grid-size", "seed-negative",
         "seed-too-large", "nan-cell", "inf-cell", "inf-pair", "ties", "non-utf8",
-        "oversized-field", "moments-out-missing-dir", "exact-out-missing-dir",
+        "oversized-field", "moments-out-missing-dir", "kstest-out-missing-dir",
+        "curves-out-missing-dir", "moments-out-under-file", "exact-out-missing-dir",
         "stat-out-missing-dir"])
-def test_bad_input_exit_codes(tmp_path, capsys, argv, lines, code):
+def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, lines, code):
+    def no_work(*args):
+        raise AssertionError("started the work before rejecting the input")
+
+    monkeypatch.setattr(simulate, "_draw_many", no_work)
+    monkeypatch.setattr(cli, "enumerate_null_distribution", no_work)
     csv_path = tmp_path / "data.csv"
     if isinstance(lines, bytes):
         csv_path.write_bytes(lines)
@@ -256,7 +278,8 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, lines, code):
         write_lines(csv_path, lines)
     argv = [a.format(dir=tmp_path, csv=csv_path) for a in argv]
     assert main(argv) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("footrule: ") and err.count("\n") == 1, err
     assert not list(tmp_path.glob("c_*.csv"))
 

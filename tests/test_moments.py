@@ -11,7 +11,7 @@ from footrule.moments import (
     null_moments,
     null_variance_exact,
 )
-from footrule.ranks import enumerate_null_distribution
+from footrule.ranks import EXACT_MAX_N, enumerate_null_distribution
 
 
 class TestNullMoments:
@@ -41,7 +41,7 @@ class TestNullMoments:
             null_moments(0, Statistic.HAJEK)
         assert null_moments(1, Statistic.HAJEK).variance == pytest.approx(0.1)
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", [*range(2, 41), EXACT_MAX_N])
     def test_enumeration_agrees_exactly(self, n):
         mean, var = enumerate_null_distribution(n).phi_moments_exact()
         assert mean == 0

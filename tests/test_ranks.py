@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from footrule.common import NonFiniteError, SampleSizeError, TiesError
 from footrule.ranks import (
+    EXACT_MAX_N,
     ExactNullDistribution,
     PairedSample,
     compute_ranks,
@@ -17,6 +19,37 @@ from footrule.ranks import (
 def rank_by_counting(values):
     # independent O(n^2) oracle: rank = #{k : v_k <= v_i}
     return [sum(1 for w in values if w <= v) for v in values]
+
+
+def permutation_table(n):
+    """All permutations of {0..n-1} as an (n!, n) int8 array.
+
+    Built level by level: the table for size k is formed by inserting
+    the new largest element into every position of each size-(k-1) row.
+    """
+    perms = np.zeros((1, 1), dtype=np.int8)
+    for k in range(2, n + 1):
+        m = perms.shape[0]
+        grown = np.empty((m * k, k), dtype=np.int8)
+        for pos in range(k):
+            block = grown[pos * m:(pos + 1) * m]
+            block[:, pos] = k - 1
+            block[:, :pos] = perms[:, :pos]
+            block[:, pos + 1:] = perms[:, pos:]
+        perms = grown
+    return perms
+
+
+def brute_force_counts(n):
+    # independent oracle: tally D over every row of the permutation table
+    table = permutation_table(n)
+    tallies = np.zeros(max_distance(n) + 1, dtype=np.int64)
+    identity = np.arange(n, dtype=np.int16)
+    for start in range(0, len(table), 1 << 18):
+        rows = table[start:start + (1 << 18)].astype(np.int16)
+        tallies += np.bincount(np.abs(rows - identity).sum(axis=1),
+                               minlength=len(tallies))
+    return {int(d): int(c) for d, c in enumerate(tallies) if c}
 
 
 class TestComputeRanks:
@@ -168,7 +201,11 @@ class TestEnumeration:
         with pytest.raises(SampleSizeError):
             enumerate_null_distribution(1)
         with pytest.raises(SampleSizeError):
-            enumerate_null_distribution(11)
+            enumerate_null_distribution(EXACT_MAX_N + 1)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_brute_force(self, n):
+        assert enumerate_null_distribution(n).counts == brute_force_counts(n)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_counts_structure(self, n):
@@ -201,3 +238,47 @@ class TestEnumeration:
         assert dist.two_sided_p(2) == 1
         # |phi(4)| = 0.5: qualifying D are 0 (1.0) and 4 (0.5)
         assert dist.two_sided_p(4) == pytest.approx(4 / 6)
+
+
+distinct_reals = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def paired_samples(draw):
+    n = draw(st.integers(2, 40))
+    column = st.lists(distinct_reals, min_size=n, max_size=n, unique=True)
+    return draw(column), draw(column)
+
+
+def increasing_map(draw, values):
+    """A random strictly increasing map, applied to the distinct `values`."""
+    targets = sorted(draw(st.lists(distinct_reals, min_size=len(values),
+                                   max_size=len(values), unique=True)))
+    image = dict(zip(sorted(values), targets))
+    return [image[v] for v in values]
+
+
+class TestCoefficientProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(paired_samples(), st.data())
+    def test_invariant_under_increasing_maps(self, pair, data):
+        x, y = pair
+        base = footrule_coefficient(PairedSample(x, y))
+        for warped in (PairedSample(increasing_map(data.draw, x), y),
+                       PairedSample(x, increasing_map(data.draw, y))):
+            result = footrule_coefficient(warped)
+            assert result.phi == base.phi and result.distance == base.distance
+
+    @settings(max_examples=200, deadline=None)
+    @given(paired_samples())
+    def test_self_agreement_is_one(self, pair):
+        x, _ = pair
+        assert footrule_coefficient(PairedSample(x, x)).phi == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(paired_samples())
+    def test_symmetric(self, pair):
+        x, y = pair
+        a = footrule_coefficient(PairedSample(x, y))
+        b = footrule_coefficient(PairedSample(y, x))
+        assert a.phi == b.phi and a.distance == b.distance
