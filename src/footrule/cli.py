@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import itertools
 import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .common import TiesError
 from .moments import limiting_variance
@@ -91,52 +95,127 @@ def _write_csv(path: Path | None, header: list[str], rows, full_precision: bool)
         raise
 
 
-def _csv_rows(handle, path: str):
-    """CSV rows of an open file; undecodable bytes or an oversized field exit 2."""
+# CSV records converted per `np.fromiter` call. It bounds what a read
+# holds besides the parsed values: one chunk of record lists.
+_CHUNK_RECORDS = 8192
+
+
+def _csv_rows(handle, path: str, failure: list[CliError]):
+    """CSV records of an open file.
+
+    Undecodable bytes or an oversized field end the records; that error
+    (exit 2) goes into `failure`, so the records read before it still count.
+    """
     try:
         yield from csv.reader(handle)
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        failure.append(CliError(f"cannot read {path}: {exc}"))
 
 
-def _read_paired_csv(path: str, has_header: bool) -> PairedSample:
-    xs: list[float] = []
-    ys: list[float] = []
+def _floats(records) -> np.ndarray:
+    """The cells of two-cell records, in file order, as one float64 array."""
+    return np.fromiter(map(float, itertools.chain.from_iterable(records)),
+                       dtype=float, count=2 * len(records))
+
+
+def _chunk_values(chunk: list[list[str]], first: int, skipped: list[int]):
+    """Values of a chunk's data records up to its first bad record, and its error.
+
+    `first` is the csv record number of the chunk's first record. A chunk
+    of two-cell records that all parse takes one `np.fromiter`; any other
+    chunk is scanned record by record, which skips blank records (their
+    numbers go to `skipped`) and names the first bad one.
+    """
+    if set(map(len, chunk)) == {2}:
+        try:
+            return _floats(chunk), None
+        except ValueError:
+            pass
+    rows = []
+    error = None
+    for number, row in enumerate(chunk, start=first):
+        if not row:
+            skipped.append(number)
+            continue
+        if len(row) != 2:
+            error = CliError(f"row {number}: expected 2 columns, got {len(row)}")
+            break
+        try:
+            float(row[0]), float(row[1])
+        except ValueError:
+            error = CliError(f"row {number}: cannot parse {','.join(row)!r}")
+            break
+        rows.append(row)
+    return _floats(rows), error
+
+
+def _record_number(index: int, skipped: list[int]) -> int:
+    """CSV record number (from 1) of data row `index` (from 0).
+
+    `skipped` holds the ascending numbers of the records that are not
+    data rows: the header and blank records.
+    """
+    number = index + 1
+    for s in skipped:
+        if s > number:
+            break
+        number += 1
+    return number
+
+
+def _read_paired_csv(path: str, has_header: bool) -> tuple[PairedSample, list[int]]:
+    """The two columns of a `stat` CSV, and the numbers of its non-data records.
+
+    The input is read once, as a stream, so a pipe works. The first bad
+    record in file order exits 2 with its csv record number: every
+    record before a malformed or unreadable one is parsed, and a NaN or
+    infinite value is found by one numpy check over all of them.
+    """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise CliError(f"cannot open {path}: {exc}") from exc
+    read_errors: list[CliError] = []
+    skipped: list[int] = []
+    parts = [np.empty(0)]
+    error = None
     with handle:
-        for lineno, row in enumerate(_csv_rows(handle, path), start=1):
-            if not row:
-                continue
-            if has_header and lineno == 1:
-                continue
-            if len(row) != 2:
-                raise CliError(f"row {lineno}: expected 2 columns, got {len(row)}")
-            try:
-                x, y = float(row[0]), float(row[1])
-            except ValueError as exc:
-                raise CliError(f"row {lineno}: cannot parse {','.join(row)!r}") from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise CliError(f"row {lineno}: NaN or infinite value")
-            xs.append(x)
-            ys.append(y)
-    if len(xs) < 2:
+        records = _csv_rows(handle, path, read_errors)
+        if has_header:
+            next(records, None)
+            skipped.append(1)
+        first = len(skipped) + 1
+        while error is None:
+            chunk = list(itertools.islice(records, _CHUNK_RECORDS))
+            if not chunk:
+                break
+            values, error = _chunk_values(chunk, first, skipped)
+            parts.append(values)
+            first += len(chunk)
+    values = np.concatenate(parts).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise CliError(f"row {_record_number(int(bad[0]), skipped)}: NaN or infinite value")
+    # A read error ends the records, so a bad record in the last chunk is earlier.
+    error = error or (read_errors[0] if read_errors else None)
+    if error is not None:
+        raise error
+    if len(values) < 2:
         raise CliError("need at least 2 data rows")
-    first_data_row = 2 if has_header else 1
-    for label, column in (("x", xs), ("y", ys)):
-        seen: dict[float, int] = {}
-        for i, value in enumerate(column):
-            if value in seen:
-                raise CliError(
-                    f"tied {label} value {value!r} in rows "
-                    f"{seen[value] + first_data_row} and {i + first_data_row}; "
-                    "continuous data expected",
-                    code=EXIT_TIES,
-                )
-            seen[value] = i
-    return PairedSample(xs, ys)
+    x, y = np.ascontiguousarray(values.T)
+    return PairedSample(x, y), skipped
+
+
+def _tie_error(sample: PairedSample, skipped: list[int], exc: TiesError) -> CliError:
+    """The `stat` message for a tie, naming its margin and csv record numbers."""
+    i, j = exc.positions
+    # x is ranked first, so a tie reported for y means x has no ties.
+    label = "x" if sample.x[i] == sample.x[j] else "y"
+    return CliError(
+        f"tied {label} value {exc.value!r} in rows {_record_number(i, skipped)} "
+        f"and {_record_number(j, skipped)}; continuous data expected",
+        code=EXIT_TIES,
+    )
 
 
 def _independence_report(sample: PairedSample, exact: bool) -> TestReport:
@@ -162,7 +241,11 @@ def _independence_report(sample: PairedSample, exact: bool) -> TestReport:
 
 
 def _cmd_stat(args: argparse.Namespace) -> int:
-    report = _independence_report(_read_paired_csv(args.input, args.header), args.exact)
+    sample, skipped = _read_paired_csv(args.input, args.header)
+    try:
+        report = _independence_report(sample, args.exact)
+    except TiesError as exc:
+        raise _tie_error(sample, skipped, exc) from exc
     full = args.full_precision
     # The CSV goes first, so a run whose --out fails prints no report.
     if args.out:
@@ -232,7 +315,8 @@ def _threads(args: argparse.Namespace) -> int:
             raise CliError(f"bad FOOTRULE_THREADS: {exc}") from exc
     if value < 1:
         raise CliError("thread count must be >= 1")
-    return value
+    # Threads beyond the CPU count only add start-up cost; bytes never depend on it.
+    return min(value, os.cpu_count() or 1)
 
 
 def _cmd_simulate_moments(args: argparse.Namespace) -> int:
@@ -323,8 +407,8 @@ def _add_simulate_common(parser: argparse.ArgumentParser, default_reps: int) -> 
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads across batches of about 2^17 random "
                              "words; a study with one batch per (statistic, n) "
-                             "runs inline. Never changes output bytes "
-                             "(default: FOOTRULE_THREADS or 1)")
+                             "runs inline; capped at the CPU count. Never "
+                             "changes output bytes (default: FOOTRULE_THREADS or 1)")
     parser.add_argument("--paper-marginals", action="store_true",
                         help="no-op, kept for compatibility: normal-x/uniform-y "
                              "data have the same ranks as the uniform pairs "
@@ -379,9 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on first use, then kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

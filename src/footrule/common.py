@@ -22,7 +22,18 @@ class Statistic(enum.Enum):
 
 
 class TiesError(ValueError):
-    """Two equal values in a margin; ranking assumes continuous data."""
+    """Two equal values in a margin; ranking assumes continuous data.
+
+    `value` is the first value, in input order, that repeats an earlier
+    one, and `positions` the 0-based indices of its first occurrence and
+    of that repeat, when the raiser knows them.
+    """
+
+    def __init__(self, message: str, value: float | None = None,
+                 positions: tuple[int, int] | None = None):
+        super().__init__(message)
+        self.value = value
+        self.positions = positions
 
 
 class NonFiniteError(ValueError):

@@ -95,8 +95,7 @@ def compute_ranks(values, ties: str = "raise") -> np.ndarray:
     order, sv, has_tie, ranks = _rank_rows(vals)
     if ties == "raise":
         if has_tie:
-            dup = float(sv[np.nonzero(sv[1:] == sv[:-1])[0][0]])
-            raise TiesError(f"tied value {dup!r}; continuous data expected")
+            raise _first_repeat(vals, order, sv)
         return ranks
 
     if not has_tie:
@@ -113,16 +112,36 @@ def compute_ranks(values, ties: str = "raise") -> np.ndarray:
     return ranks
 
 
+def _first_repeat(vals: np.ndarray, order: np.ndarray, sv: np.ndarray) -> TiesError:
+    """TiesError for the first value, in input order, equal to an earlier one.
+
+    Read off the stable sort that ranking already did: within a run of
+    equal sorted values the positions ascend, so every run member but
+    the first is a repeat, and the run's first member is the value's
+    first occurrence.
+    """
+    j = int(order[1:][sv[1:] == sv[:-1]].min())
+    value = float(vals[j])
+    i = int(order[np.searchsorted(sv, value)])
+    return TiesError(
+        f"tied value {value!r} at positions {i} and {j}; continuous data expected",
+        value=value, positions=(i, j),
+    )
+
+
 def _rank_rows(values: np.ndarray):
     """Sort each row (last axis): stable order, sorted values, tie flag, ranks.
 
-    Ranks are 1..n by double argsort, ties broken by position; they are
-    the true ranks only where the tie flag is False.
+    One sort per row: ranks 1..n are scattered through the sort order
+    (the inverse permutation), ties broken by position; they are the
+    true ranks only where the tie flag is False.
     """
     order = np.argsort(values, axis=-1, kind="stable")
     sv = np.take_along_axis(values, order, axis=-1)
     tied = (sv[..., 1:] == sv[..., :-1]).any(axis=-1)
-    return order, sv, tied, np.argsort(order, axis=-1) + 1
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
+    return order, sv, tied, ranks
 
 
 def _displacement(r: np.ndarray, s: np.ndarray):

@@ -1,12 +1,22 @@
+import argparse
+import contextlib
 import csv
+import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from footrule import cli, simulate
-from footrule.cli import main
+from footrule.cli import CliError, main
 from footrule.ranks import EXACT_MAX_N
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -19,6 +29,25 @@ def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     return rows[0], rows[1:]
+
+
+def run_fresh(argv, stdin=None):
+    """`footrule ARGV` in a new interpreter, with an 80-column help width."""
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "footrule.cli", *argv], input=stdin,
+                          capture_output=True, env=env, timeout=120)
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of one in-process `main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestStatCommand:
@@ -57,6 +86,20 @@ class TestStatCommand:
         err = capsys.readouterr().err
         assert "rows 1 and 3" in err
 
+    @pytest.mark.parametrize("lines, header, message", [
+        (["0.1,0.5", "", "0.2,0.6", "0.1,0.7"], False, "tied x value 0.1 in rows 1 and 4"),
+        (["x,y", "", "0.1,0.5", "", "0.2,0.6", "0.3,0.5"], True,
+         "tied y value 0.5 in rows 3 and 6"),
+        (["2,1", "3,2", "1,3", "3,1"], False, "tied x value 3.0 in rows 2 and 4"),
+        (["0.0,1", "1,2", "-0.0,3"], False, "tied x value -0.0 in rows 1 and 3"),
+    ])
+    def test_tie_rows_count_csv_records(self, tmp_path, capsys, lines, header, message):
+        # blank records count, as in every other stat message
+        data = tmp_path / "data.csv"
+        write_lines(data, lines)
+        assert main(["stat", str(data)] + ["--header"] * header) == 3
+        assert capsys.readouterr().err == f"footrule: {message}; continuous data expected\n"
+
     def test_exact_needs_small_n(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         write_lines(data, [f"{i},{i + 0.5}" for i in range(EXACT_MAX_N + 1)])
@@ -93,6 +136,216 @@ class TestStatCommand:
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["stat", str(tmp_path / "nope.csv")]) == 2
+
+
+def reference_read(path, has_header):
+    """The row-wise `stat` reader the streaming one replaced: (xs, ys) or CliError.
+
+    Kept as a test oracle, with one change: tie messages number csv
+    records, counting blank records, like every other message.
+    """
+    xs, ys, numbers = [], [], []
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        try:
+            for lineno, row in enumerate(csv.reader(handle), start=1):
+                if not row:
+                    continue
+                if has_header and lineno == 1:
+                    continue
+                if len(row) != 2:
+                    raise CliError(f"row {lineno}: expected 2 columns, got {len(row)}")
+                try:
+                    x, y = float(row[0]), float(row[1])
+                except ValueError as exc:
+                    raise CliError(f"row {lineno}: cannot parse {','.join(row)!r}") from exc
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise CliError(f"row {lineno}: NaN or infinite value")
+                xs.append(x)
+                ys.append(y)
+                numbers.append(lineno)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise CliError(f"cannot read {path}: {exc}") from exc
+    if len(xs) < 2:
+        raise CliError("need at least 2 data rows")
+    for label, column in (("x", xs), ("y", ys)):
+        seen: dict[float, int] = {}
+        for i, value in enumerate(column):
+            if value in seen:
+                raise CliError(
+                    f"tied {label} value {value!r} in rows "
+                    f"{numbers[seen[value]]} and {numbers[i]}; "
+                    "continuous data expected",
+                    code=cli.EXIT_TIES,
+                )
+            seen[value] = i
+    return xs, ys
+
+
+# Fields longer than this are over the csv module's limit while the
+# property below runs; every numeric cell it makes is shorter.
+FIELD_LIMIT = 32
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0.5", "1.5", "2", "-0.0", "0.0", "1_000", " 3.25", "4.5 ",
+                     '"6.5"', '" 7 "']),
+)
+CELLS = st.one_of(
+    NUMBERS,
+    st.sampled_from(["nan", "-inf", "Infinity", "1e999", "", "a", "1..2", "_1", '"x"',
+                     "1" * (FIELD_LIMIT + 8), '"' + "2" * (FIELD_LIMIT + 8) + '"']),
+)
+GOOD_RECORDS = st.tuples(NUMBERS, NUMBERS).map(lambda r: ",".join(r).encode())
+ANY_RECORDS = st.one_of(
+    st.tuples(CELLS, CELLS).map(lambda r: ",".join(r).encode()),
+    st.lists(CELLS, min_size=1, max_size=3).map(lambda r: ",".join(r).encode()),
+    st.sampled_from([b"", b"   ", b"\t", b"\xff,1", b"1,\xfe\xff"]),
+)
+
+
+@st.composite
+def csv_bytes(draw):
+    """CSV input bytes: good records with up to three blank, bad or odd ones."""
+    records = draw(st.lists(GOOD_RECORDS, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        records.insert(draw(st.integers(0, len(records))), draw(ANY_RECORDS))
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]),
+                         min_size=len(records), max_size=len(records)))
+    body = b"".join(r + e for r, e in zip(records, ends))
+    return body[:-1] if body.endswith(b"\n") and draw(st.booleans()) else body
+
+
+class TestStatReader:
+    """The streaming reader against the row-wise reference, on fuzzed input."""
+
+    @pytest.fixture(autouse=True)
+    def small_field_limit(self):
+        old = csv.field_size_limit(FIELD_LIMIT)
+        yield
+        csv.field_size_limit(old)
+
+    @staticmethod
+    def check(path, header, chunk):
+        try:
+            expected = reference_read(path, header)
+        except CliError as exc:
+            expected = exc
+        old_chunk = cli._CHUNK_RECORDS
+        cli._CHUNK_RECORDS = chunk
+        try:
+            outcome = run_main(["stat", str(path)] + ["--header"] * header)
+            read = None if isinstance(expected, CliError) else cli._read_paired_csv(
+                str(path), header)[0]
+        finally:
+            cli._CHUNK_RECORDS = old_chunk
+        if isinstance(expected, CliError):
+            assert outcome == (expected.code, "", f"footrule: {expected}\n")
+        else:
+            assert outcome[0] == 0
+            assert read.x.tobytes() == np.array(expected[0]).tobytes()
+            assert read.y.tobytes() == np.array(expected[1]).tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=csv_bytes(), header=st.booleans(), chunk=st.sampled_from([1, 2, 3, 8192]))
+    @example(data=b"1,2\nnan,3\n1,2,3\n", header=False, chunk=1)
+    @example(data=b"1,2\r\n3,inf\r\n\xff,1\r\n", header=False, chunk=2)
+    @example(data=b"x,y\n1,2\n-inf,3\n" + b"9" * 40 + b",1\n", header=True, chunk=8192)
+    @example(data=b"1,2\n\n  \n3,4\n", header=False, chunk=1)
+    @example(data=b'"1_0", 2 \r"3"," 4"\r5,6', header=False, chunk=2)
+    def test_matches_reference(self, tmp_path_factory, data, header, chunk):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(data)
+        self.check(path, header, chunk)
+
+    @pytest.mark.parametrize("lines, bad", [
+        (["1,2", "nan,3", "1,2,3"], "malformed"),
+        (["1,2", "3,inf", "a,b"], "unparseable"),
+        (["1,2", "3,-inf", "1" * (FIELD_LIMIT + 1) + ",5"], "oversized"),
+    ])
+    def test_nonfinite_row_wins_over_later_errors(self, tmp_path, capsys, lines, bad):
+        data = tmp_path / "data.csv"
+        write_lines(data, lines)
+        assert main(["stat", str(data)]) == 2
+        assert capsys.readouterr().err == "footrule: row 2: NaN or infinite value\n"
+
+    def test_nonfinite_row_wins_over_later_undecodable_bytes(self, tmp_path, capsys):
+        # past the first decode block, so the NaN row is read before the bad bytes
+        lines = b"".join(b"%d,%d\n" % (i, -i) for i in range(2000))
+        data = tmp_path / "data.csv"
+        data.write_bytes(lines + b"nan,1\n" + lines.replace(b"\n", b".5\n") + b"\xff,1\n")
+        assert main(["stat", str(data)]) == 2
+        assert capsys.readouterr().err == "footrule: row 2001: NaN or infinite value\n"
+
+
+def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
+    """Several `main` calls in one process print what fresh processes print."""
+    monkeypatch.setenv("COLUMNS", "80")
+    data = tmp_path / "data.csv"
+    write_lines(data, ["1.0,2.5", "2.0,0.5", "3.0,1.5", "4.0,3.5"])
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for argv in (
+            ["stat", str(data), "--exact"],
+            ["simulate", "moments", "--reps", "x"],
+            ["exact", "5"],
+            ["simulate", "moments", "--n-list", "10", "--reps", "30", "--seed", "3"],
+            ["stat", str(data)],
+        ):
+            fresh = run_fresh(argv)
+            assert run_main(argv) == (fresh.returncode, fresh.stdout.decode(),
+                                      fresh.stderr.decode()), argv
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+def test_stat_reads_a_pipe(tmp_path):
+    data = tmp_path / "data.csv"
+    write_lines(data, ["0.3,1.0", "0.1,2.0", "0.7,0.5", "0.2,4.0"])
+    piped = run_fresh(["stat", "/dev/stdin", "--exact"], stdin=data.read_bytes())
+    from_file = run_fresh(["stat", str(data), "--exact"])
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, from_file.stdout, b"")
+    bad = run_fresh(["stat", "/dev/stdin", "--exact"], stdin=b"0.3,1.0\n0.1,2.0\n0.7,x\n")
+    assert bad.returncode == 2
+    assert bad.stdout == b""
+    assert bad.stderr == b"footrule: row 3: cannot parse '0.7,x'\n"
+
+
+def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._threads(argparse.Namespace(threads=64)) == 2
+    assert cli._threads(argparse.Namespace(threads=1)) == 1
+    monkeypatch.setenv("FOOTRULE_THREADS", "64")
+    assert cli._threads(argparse.Namespace(threads=None)) == 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._threads(argparse.Namespace(threads=None)) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    workers = []
+
+    class Pool(simulate.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Pool)
+    # n = 100 at 1400 reps is three batches, so a pool runs.
+    base = ["simulate", "moments", "--n-list", "100", "--reps", "1400", "--seed", "8"]
+    outputs = []
+    for extra in (["--threads", "1"], ["--threads", "64"], []):
+        out = tmp_path / f"m{len(outputs)}.csv"
+        assert main(base + extra + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert workers and max(workers) == 2
 
 
 class TestExactCommand:

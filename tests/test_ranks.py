@@ -64,6 +64,24 @@ class TestComputeRanks:
         with pytest.raises(TiesError):
             compute_ranks([1.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("values, value, positions", [
+        ([1.0, 1.0, 2.0], 1.0, (0, 1)),
+        # 3.0 sorts first, but 5.0 repeats first in input order
+        ([5.0, 3.0, 5.0, 3.0, 5.0], 5.0, (0, 2)),
+        ([9.0, 2.0, 7.0, 2.0, 9.0], 2.0, (1, 3)),
+        ([0.0, 4.0, -0.0], -0.0, (0, 2)),
+    ])
+    def test_tie_names_first_repeat(self, values, value, positions):
+        with pytest.raises(TiesError) as info:
+            compute_ranks(values)
+        assert repr(info.value.value) == repr(value)
+        assert info.value.positions == positions
+
+    def test_single_sort_ranks_match_double_argsort(self):
+        rows = np.random.default_rng(3).random((50, 17))
+        for row in rows:
+            assert compute_ranks(row).tolist() == (np.argsort(np.argsort(row)) + 1).tolist()
+
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteError):
             compute_ranks([1.0, math.nan, 2.0])
