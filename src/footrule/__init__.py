@@ -50,7 +50,6 @@ from .simulate import (
     run_curve_study,
     run_ks_study,
     run_moment_study,
-    uniform_open,
 )
 from .stats import (
     CurveGrid,
@@ -111,5 +110,4 @@ __all__ = [
     "run_moment_study",
     "summarize",
     "u_kernel",
-    "uniform_open",
 ]

@@ -182,8 +182,11 @@ def _read_paired_csv(path: str, has_header: bool) -> tuple[PairedSample, list[in
     with handle:
         records = _csv_rows(handle, path, read_errors)
         if has_header:
-            next(records, None)
-            skipped.append(1)
+            # The header is the first non-blank record; blank ones before it are skipped too.
+            for number, row in enumerate(records, start=1):
+                skipped.append(number)
+                if row:
+                    break
         first = len(skipped) + 1
         while error is None:
             chunk = list(itertools.islice(records, _CHUNK_RECORDS))
@@ -313,8 +316,6 @@ def _threads(args: argparse.Namespace) -> int:
             value = int(os.environ.get("FOOTRULE_THREADS", "1"))
         except ValueError as exc:
             raise CliError(f"bad FOOTRULE_THREADS: {exc}") from exc
-    if value < 1:
-        raise CliError("thread count must be >= 1")
     # Threads beyond the CPU count only add start-up cost; bytes never depend on it.
     return min(value, os.cpu_count() or 1)
 
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     stat = sub.add_parser("stat", help="coefficient and independence test on a CSV")
     stat.add_argument("input", help="two-column CSV of reals")
     stat.add_argument("--header", action="store_true",
-                      help="first row is a header, skip it")
+                      help="first non-blank row is a header, skip it")
     stat.add_argument("--exact", action="store_true",
                       help=f"exact permutation p-value (n <= {EXACT_MAX_N})")
     stat.add_argument("--out", help="also write the report as CSV")

@@ -155,8 +155,8 @@ def _footrule_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Coefficient of each paired row of x and y (last axis), and a tie flag.
 
     The batched form of `footrule_coefficient`, without validation. A
-    flagged row's value is meaningless: it must be redone on the scalar
-    path, which raises or redraws.
+    flagged row's value is meaningless: the caller raises or, in the
+    simulation engine, draws that row again.
     """
     _, _, x_tied, r = _rank_rows(x)
     _, _, y_tied, s = _rank_rows(y)

@@ -12,7 +12,8 @@ of Lemire's bounded-integer method, giving the values numpy's
 ``Generator.integers(1, 2**53)`` gives on the same key and counter. The
 statistics are then evaluated on whole (replications, n) batches. A row
 where numpy would have rejected a word and drawn again, or where the
-rank statistic meets a tie, is redone on the scalar ``Generator`` path.
+rank statistic meets a tie, is read again alone from the same words:
+rejected words are skipped and a tie moves on to the next 2n uniforms.
 """
 
 from __future__ import annotations
@@ -26,14 +27,10 @@ import numpy as np
 
 from .common import SampleSizeError, Statistic, TiesError
 from .moments import limiting_variance
-from .ranks import PairedSample, _footrule_rows, footrule_coefficient
-from .representations import (
-    UniformPairs,
-    _double_sum_rows,
-    _hajek_rows,
-    double_sum_representation,
-    hajek_representation,
-)
+# footrule_coefficient is unused here but stays bound: bench/test_bench.py
+# checks on this name that its tracer rebinds functions imported by name.
+from .ranks import _footrule_rows, footrule_coefficient  # noqa: F401
+from .representations import _double_sum_rows, _hajek_rows
 from .stats import (
     CurveGrid,
     KsOutcome,
@@ -105,16 +102,6 @@ class StreamKey:
         return np.random.Generator(bitgen)
 
 
-def uniform_open(gen: np.random.Generator, size: int | None = None):
-    """Uniform draws strictly inside (0, 1).
-
-    Integers from 1 to 2^53 - 1 divided by 2^53, so both endpoints are
-    unreachable and the mean is exactly 1/2.
-    """
-    ints = gen.integers(1, _UNIT, size=size)
-    return ints / float(_UNIT)
-
-
 def _check_word(name: str, value: int) -> None:
     """Keys are two 64-bit words; reject what would wrap or round."""
     if not 0 <= value < 1 << 64:
@@ -171,44 +158,62 @@ def _philox_words(seed: int, reps: np.ndarray, block: int, count: int) -> np.nda
 def _uniform_rows(
     seed: int, reps: np.ndarray, block: int, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`uniform_open` draws of `count` values per stream, and rows to redo.
+    """Uniforms from the first `count` words of each stream, and which numpy rejects.
 
     m * (2^53 - 1) = m * 2^53 - m, so the bounded integer is m >> 11 less
-    a borrow, plus the offset 1, and the low word is (m << 53) - m. A row
-    is flagged where any low word falls below the rejection threshold,
-    which happens with probability about 2^-53 per word.
+    a borrow, plus the offset 1, and the low word is (m << 53) - m. numpy
+    skips a word whose low word is below the threshold (probability
+    about 2^-53) and reads the next one.
     """
     m = _philox_words(seed, reps, block, count)
     shifted = m << 53
     borrow = shifted < m
-    rejected = (shifted - m < _LEMIRE_THRESHOLD).any(axis=-1)
+    rejected = shifted - m < _LEMIRE_THRESHOLD
     return ((m >> 11) + 1 - borrow) / float(_UNIT), rejected
 
 
-def _draw_value(key: StreamKey, n: int, statistic: Statistic) -> tuple[float, int]:
-    """One statistic value plus the number of tie-forced redraws.
+def _stream_uniforms(seed: int, rep: int, block: int, count: int) -> np.ndarray:
+    """The first `count` uniforms of stream (seed, rep) in one counter block.
 
-    The scalar path: the batched engine's reference and its fallback.
+    Equal to ``Generator(Philox(key=[seed, rep], counter=[0, 0, 0,
+    block])).integers(1, 2**53, size=count) / 2**53``: rejected words are
+    skipped, and the run of words read grows by each shortfall.
     """
-    gen = key.generator(block=_block(statistic, n))
-    redraws = 0
+    words = count
     while True:
-        vec = uniform_open(gen, size=2 * n)
-        u, v = vec[:n], vec[n:]
-        try:
-            if statistic is Statistic.FOOTRULE:
-                value = footrule_coefficient(PairedSample(u, v)).phi
-            elif statistic is Statistic.DOUBLE_SUM:
-                value = double_sum_representation(UniformPairs(u, v))
-            else:
-                value = hajek_representation(UniformPairs(u, v))
-        except TiesError:
-            # Machine-equal uniforms; essentially never, but stay exact.
-            redraws += 1
-            if redraws > _MAX_REDRAWS:
-                raise
-            continue
-        return value, redraws
+        vec, rejected = _uniform_rows(seed, np.array([rep], dtype=np.uint64), block, words)
+        accepted = vec[~rejected]
+        if len(accepted) >= count:
+            return accepted[:count]
+        words += count - len(accepted)
+
+
+def _statistic_rows(vec: np.ndarray, n: int,
+                    statistic: Statistic) -> tuple[np.ndarray, np.ndarray]:
+    """The statistic of each row of 2n uniforms (U, then V), and a tie flag."""
+    u, v = vec[..., :n], vec[..., n:]
+    if statistic is Statistic.FOOTRULE:
+        return _footrule_rows(u, v)
+    if statistic is Statistic.DOUBLE_SUM:
+        out = _double_sum_rows(u, v)
+    else:
+        out = _hajek_rows(u, v)
+    return out, np.zeros(out.shape, dtype=bool)
+
+
+def _redraw_row(seed: int, rep: int, n: int, statistic: Statistic) -> tuple[float, int]:
+    """Value and tie redraws of a row the batched pass flagged.
+
+    The row takes the first 2n uniforms of its stream and, while the
+    rank statistic meets a tie, the next 2n, at most _MAX_REDRAWS times.
+    """
+    block = _block(statistic, n)
+    for redraws in range(_MAX_REDRAWS + 1):
+        vec = _stream_uniforms(seed, rep, block, 2 * n * (redraws + 1))[-2 * n:]
+        value, tied = _statistic_rows(vec, n, statistic)
+        if not tied:
+            return float(value), redraws
+    raise TiesError(f"stream ({seed}, {rep}) tied on {_MAX_REDRAWS + 1} draws in a row")
 
 
 def draw_statistic(key: StreamKey, n: int, statistic: Statistic) -> float:
@@ -217,44 +222,30 @@ def draw_statistic(key: StreamKey, n: int, statistic: Statistic) -> float:
     The rank statistic is simulated on uniform marginals, which is valid
     because ranking makes it distribution-free: any strictly increasing
     transform of a margin, such as the inverse-normal one, gives the same
-    ranks and so the same value.
+    ranks and so the same value. This is one row of the batched engine;
+    the studies draw many replications per call.
     """
     if n < 2 and statistic is not Statistic.HAJEK:
         raise SampleSizeError(f"{statistic.value} needs n >= 2")
     if n < 1:
         raise SampleSizeError("n must be positive")
-    value, _ = _draw_value(key, n, statistic)
-    return value
+    values, _ = _draw_chunk(key.seed, n, statistic, key.stream_id, key.stream_id + 1)
+    return float(values[0])
 
 
-def _draw_chunk(
-    values: np.ndarray,
-    seed: int,
-    n: int,
-    statistic: Statistic,
-    lo: int,
-    hi: int,
-) -> int:
-    """Fill values[lo:hi] for replications lo..hi-1; returns tie redraws."""
-    vec, redo = _uniform_rows(
+def _draw_chunk(seed: int, n: int, statistic: Statistic,
+                lo: int, hi: int) -> tuple[np.ndarray, int]:
+    """Values of replications lo..hi-1, and their tie redraws."""
+    vec, rejected = _uniform_rows(
         seed, np.arange(lo, hi, dtype=np.uint64), _block(statistic, n), 2 * n
     )
-    u, v = vec[:, :n], vec[:, n:]
-    if statistic is Statistic.FOOTRULE:
-        out, tied = _footrule_rows(u, v)
-        redo |= tied
-    elif statistic is Statistic.DOUBLE_SUM:
-        out = _double_sum_rows(u, v)
-    else:
-        out = _hajek_rows(u, v)
-    values[lo:hi] = out
+    values, redo = _statistic_rows(vec, n, statistic)
+    redo |= rejected.any(axis=-1)
     redraws = 0
-    # Rows numpy would have drawn again, and tied rank rows, go the scalar way.
     for row in np.flatnonzero(redo):
-        rep = lo + int(row)
-        values[rep], extra = _draw_value(StreamKey(seed, rep), n, statistic)
+        values[row], extra = _redraw_row(seed, lo + int(row), n, statistic)
         redraws += extra
-    return redraws
+    return values, redraws
 
 
 def _draw_many(
@@ -277,7 +268,8 @@ def _draw_many(
 
     def fill(lo: int) -> int:
         hi = min(lo + step, replications)
-        return _draw_chunk(values, seed, n, statistic, lo, hi)
+        values[lo:hi], redraws = _draw_chunk(seed, n, statistic, lo, hi)
+        return redraws
 
     if threads <= 1 or len(starts) == 1:
         return values, sum(map(fill, starts))
@@ -312,11 +304,14 @@ class CurveRow:
     ref_cdf: np.ndarray = field(repr=False)
 
 
-def _check_study(seed: int, sample_sizes: tuple[int, ...], replications: int) -> None:
+def _check_study(seed: int, sample_sizes: tuple[int, ...], replications: int,
+                 threads: int) -> None:
     """Reject study settings before anything is drawn."""
     _check_word("seed", seed)
     if replications < 2:
         raise ValueError(f"replications must be >= 2, got {replications}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if not sample_sizes or min(sample_sizes) < 2:
         raise ValueError(f"sample sizes must all be >= 2, got {list(sample_sizes)}")
 
@@ -331,7 +326,7 @@ def run_moment_study(
 
     Rows run statistic by statistic, and by n within a statistic.
     """
-    _check_study(seed, sample_sizes, replications)
+    _check_study(seed, sample_sizes, replications, threads)
     rows = []
     for stat in Statistic:
         for n in sample_sizes:
@@ -370,7 +365,7 @@ def run_ks_study(
     Pairs against "normal" are one-sample tests against the limiting
     Normal(0, 2/5) CDF; statistic pairs are two-sample tests.
     """
-    _check_study(seed, sample_sizes, replications)
+    _check_study(seed, sample_sizes, replications, threads)
 
     def reference(t: float) -> float:
         return normal_cdf(t, 0.0, limiting_variance())
@@ -399,7 +394,7 @@ def run_curve_study(
     The ECDF and the reference Normal(0, 2/5) curves are evaluated on
     the KDE's grid so each (statistic, n) shares a single axis.
     """
-    _check_study(seed, sample_sizes, replications)
+    _check_study(seed, sample_sizes, replications, threads)
     if grid_size < 2:
         raise ValueError(f"grid size must be >= 2, got {grid_size}")
     var = limiting_variance()

@@ -22,11 +22,11 @@ from footrule.representations import (
     hajek_representation,
 )
 from footrule.simulate import (
-    StreamKey,
-    draw_statistic,
+    _draw_many,
+    _stream_uniforms,
+    _uniform_rows,
     run_ks_study,
     run_moment_study,
-    uniform_open,
 )
 from footrule.stats import ks_one_sample, normal_cdf, summarize
 
@@ -40,10 +40,7 @@ def report(criterion, passed, detail):
 
 
 def draw_block(seed, n, statistic, replications, scaled=False):
-    values = np.array([
-        draw_statistic(StreamKey(seed, rep), n, statistic)
-        for rep in range(replications)
-    ])
+    values, _ = _draw_many(seed, n, statistic, replications, 1)
     return values * math.sqrt(n) if scaled else values
 
 
@@ -177,8 +174,10 @@ def test_criterion_6_distribution_free():
 def coupled_draws(seed, n, reps):
     first = np.empty(reps)
     second = np.empty(reps)
-    for rep in range(reps):
-        vec = uniform_open(StreamKey(seed, rep).generator(block=n), size=2 * n)
+    # each row is its stream's first 2n uniforms wherever no word is rejected
+    vecs, rejected = _uniform_rows(seed, np.arange(reps, dtype=np.uint64), n, 2 * n)
+    assert not rejected.any()
+    for rep, vec in enumerate(vecs):
         pairs = UniformPairs(vec[:n], vec[n:])
         first[rep] = double_sum_representation(pairs)
         second[rep] = hajek_representation(pairs)
@@ -204,10 +203,7 @@ def test_criterion_7_hajek_residual():
 def test_criterion_8_uniform_integral_constants():
     start = time.perf_counter()
     big = 1_000_000
-    gen = StreamKey(SEED, 0).generator(block=0)
-    u = uniform_open(gen, size=big)
-    v = uniform_open(gen, size=big)
-    v2 = uniform_open(gen, size=big)
+    u, v, v2 = np.split(_stream_uniforms(SEED, 0, 0, 3 * big), 3)
     a = np.abs(u - v)
     b = u * (1.0 - u)
     a_shared = np.abs(u - v2)
@@ -226,9 +222,9 @@ def test_criterion_8_uniform_integral_constants():
     cov_shared, se_shared = covariance_and_se(a, a_shared)
     within("Cov shared U", cov_shared, moments.COV_ABS_DIFF_SHARED, se_shared)
 
-    cond_gen = StreamKey(SEED, 1).generator(block=0)
-    for u0 in [round(0.1 * k, 1) for k in range(1, 10)]:
-        draws = np.abs(u0 - uniform_open(cond_gen, size=100_000))
+    cond_uniforms = np.split(_stream_uniforms(SEED, 1, 0, 900_000), 9)
+    for u0, uniforms in zip([round(0.1 * k, 1) for k in range(1, 10)], cond_uniforms):
+        draws = np.abs(u0 - uniforms)
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         checks.append((f"cond u={u0}", abs(draws.mean() - cond_exp_abs_diff(u0)) <= 4.0 * se))
 

@@ -100,6 +100,18 @@ class TestStatCommand:
         assert main(["stat", str(data)] + ["--header"] * header) == 3
         assert capsys.readouterr().err == f"footrule: {message}; continuous data expected\n"
 
+    def test_header_after_blank_records(self, tmp_path, capsys):
+        # --header skips the first non-blank record; the blank ones before it
+        # are skipped too, and still count in row numbers
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"\n\nx,y\n1,2\n3,4\n5,6\n")
+        assert main(["stat", str(data), "--header"]) == 0
+        assert "n         3" in capsys.readouterr().out
+        data.write_bytes(b"\nx,y\n1,2\n3,2\n")
+        assert main(["stat", str(data), "--header"]) == 3
+        assert capsys.readouterr().err == (
+            "footrule: tied y value 2.0 in rows 3 and 4; continuous data expected\n")
+
     def test_exact_needs_small_n(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         write_lines(data, [f"{i},{i + 0.5}" for i in range(EXACT_MAX_N + 1)])
@@ -141,16 +153,19 @@ class TestStatCommand:
 def reference_read(path, has_header):
     """The row-wise `stat` reader the streaming one replaced: (xs, ys) or CliError.
 
-    Kept as a test oracle, with one change: tie messages number csv
-    records, counting blank records, like every other message.
+    Kept as a test oracle, with two changes: tie messages number csv
+    records, counting blank records, like every other message; and the
+    header is the first non-blank record, not always record 1.
     """
     xs, ys, numbers = [], [], []
+    header_pending = has_header
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
             for lineno, row in enumerate(csv.reader(handle), start=1):
                 if not row:
                     continue
-                if has_header and lineno == 1:
+                if header_pending:
+                    header_pending = False
                     continue
                 if len(row) != 2:
                     raise CliError(f"row {lineno}: expected 2 columns, got {len(row)}")
@@ -251,6 +266,7 @@ class TestStatReader:
     @example(data=b"x,y\n1,2\n-inf,3\n" + b"9" * 40 + b",1\n", header=True, chunk=8192)
     @example(data=b"1,2\n\n  \n3,4\n", header=False, chunk=1)
     @example(data=b'"1_0", 2 \r"3"," 4"\r5,6', header=False, chunk=2)
+    @example(data=b"\nx,y\n1,2\n3,4\n", header=True, chunk=1)
     def test_matches_reference(self, tmp_path_factory, data, header, chunk):
         path = tmp_path_factory.getbasetemp() / "fuzz.csv"
         path.write_bytes(data)
@@ -497,6 +513,7 @@ class TestSimulateCommands:
     (["simulate", "curves", "--grid-size", "1", "--out", "{dir}/c"], None, 2),
     (["simulate", "moments", "--seed", "-1"], None, 2),
     (["simulate", "kstest", "--seed", str(2**64)], None, 2),
+    (["simulate", "moments", "--threads", "0"], None, 2),
     (["stat", "{csv}"], ["1.0,2.0", "nan,3.0", "2.0,4.0"], 2),
     (["stat", "{csv}", "--exact"], ["1.0,2.0", "2.0,inf", "3.0,4.0"], 2),
     (["stat", "{csv}"], ["inf,2.0", "inf,3.0", "2.0,4.0"], 2),
@@ -514,8 +531,8 @@ class TestSimulateCommands:
     (["exact", "5", "--out", "{dir}/no/e.csv"], None, 2),
     (["stat", "{csv}", "--out", "{dir}/no/s.csv"], ["1.0,2.0", "2.0,3.0"], 2),
 ], ids=["moments-reps", "kstest-reps", "curves-reps", "grid-size", "seed-negative",
-        "seed-too-large", "nan-cell", "inf-cell", "inf-pair", "ties", "non-utf8",
-        "oversized-field", "moments-out-missing-dir", "kstest-out-missing-dir",
+        "seed-too-large", "threads-zero", "nan-cell", "inf-cell", "inf-pair", "ties",
+        "non-utf8", "oversized-field", "moments-out-missing-dir", "kstest-out-missing-dir",
         "curves-out-missing-dir", "moments-out-under-file", "exact-out-missing-dir",
         "stat-out-missing-dir"])
 def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, lines, code):

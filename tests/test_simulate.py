@@ -1,15 +1,23 @@
+import itertools
 import math
 import statistics
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from footrule import simulate
 from footrule.cli import main
 from footrule.common import SampleSizeError, Statistic, TiesError
 from footrule.moments import null_variance_exact
-from footrule.ranks import PairedSample, _footrule_rows, footrule_coefficient
+from footrule.ranks import (
+    PairedSample,
+    _footrule_rows,
+    enumerate_null_distribution,
+    footrule_coefficient,
+    max_distance,
+)
 from footrule.representations import (
     UniformPairs,
     _double_sum_rows,
@@ -19,43 +27,48 @@ from footrule.representations import (
 )
 from footrule.simulate import (
     KS_COMBINATIONS,
+    _LEMIRE_THRESHOLD,
     StreamKey,
     _block,
     _draw_many,
     _philox_words,
+    _stream_uniforms,
     _uniform_rows,
     draw_statistic,
     run_curve_study,
     run_ks_study,
     run_moment_study,
-    uniform_open,
 )
 from footrule.stats import ks_one_sample, normal_cdf, normal_pdf, summarize
+from numpy_oracle import draw_value, lemire_uniforms, redraw_loop, uniform_open
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 class TestUniformOpen:
+    """`_stream_uniforms`, the in-repo uniform source, against numpy's sampler."""
+
     def test_determinism(self):
-        a = uniform_open(StreamKey(9, 4).generator(), size=64)
-        b = uniform_open(StreamKey(9, 4).generator(), size=64)
-        assert np.array_equal(a, b)
+        a = _stream_uniforms(9, 4, 0, 64)
+        assert np.array_equal(a, _stream_uniforms(9, 4, 0, 64))
+        assert np.array_equal(a, uniform_open(StreamKey(9, 4).generator(), size=64))
 
     def test_streams_differ(self):
-        a = uniform_open(StreamKey(9, 4).generator(), size=64)
-        b = uniform_open(StreamKey(9, 5).generator(), size=64)
-        c = uniform_open(StreamKey(8, 4).generator(), size=64)
+        a = _stream_uniforms(9, 4, 0, 64)
+        b = _stream_uniforms(9, 5, 0, 64)
+        c = _stream_uniforms(8, 4, 0, 64)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_blocks_partition_a_stream(self):
-        key = StreamKey(17, 0)
-        a = uniform_open(key.generator(block=1), size=64)
-        b = uniform_open(key.generator(block=2), size=64)
+        a = _stream_uniforms(17, 0, 1, 64)
+        b = _stream_uniforms(17, 0, 2, 64)
         assert not np.array_equal(a, b)
+        assert np.array_equal(b, uniform_open(StreamKey(17, 0).generator(block=2), size=64))
 
     def test_open_interval_and_mean(self):
-        draws = uniform_open(StreamKey(1, 0).generator(), size=1_000_000)
+        draws = _stream_uniforms(1, 0, 0, 1_000_000)
+        assert np.array_equal(draws, uniform_open(StreamKey(1, 0).generator(), size=1_000_000))
         assert draws.min() > 0.0
         assert draws.max() < 1.0
         assert abs(draws.mean() - 0.5) < 0.002
@@ -64,6 +77,7 @@ class TestUniformOpen:
         value = uniform_open(StreamKey(2, 3).generator())
         assert isinstance(value, float)
         assert 0.0 < value < 1.0
+        assert value == _stream_uniforms(2, 3, 0, 1)[0]
 
     def test_full_width_seeds_do_not_alias(self):
         # the key must reach Philox as uint64: through float64, seeds near
@@ -73,7 +87,9 @@ class TestUniformOpen:
         for seed in seeds:
             gen = StreamKey(seed, 7).generator()
             assert gen.bit_generator.state["state"]["key"].tolist() == [seed, 7]
-            draws.add(tuple(uniform_open(gen, size=8)))
+            ours = _stream_uniforms(seed, 7, 0, 8)
+            assert np.array_equal(ours, uniform_open(gen, size=8))
+            draws.add(tuple(ours))
         assert len(draws) == len(seeds)
 
     @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
@@ -90,8 +106,8 @@ class TestDrawStatistic:
         )
 
     def test_rank_draw_lives_on_the_lattice(self):
-        for rep in range(50):
-            phi = draw_statistic(StreamKey(7, rep), 10, Statistic.FOOTRULE)
+        values, _ = _draw_many(7, 10, Statistic.FOOTRULE, 50, 1)
+        for phi in values.tolist():
             assert 1 - 3 * 50 / 99 <= phi <= 1.0
             d = (1.0 - phi) * 99 / 3
             assert d == pytest.approx(round(d), abs=1e-9)
@@ -104,7 +120,7 @@ class TestDrawStatistic:
         inverse_normal = statistics.NormalDist().inv_cdf
         for rep in range(20):
             key = StreamKey(3, rep)
-            vec = uniform_open(key.generator(block=_block(Statistic.FOOTRULE, 50)), size=100)
+            vec = _stream_uniforms(3, rep, _block(Statistic.FOOTRULE, 50), 100)
             u, v = vec[:50], vec[50:]
             normal_x = [inverse_normal(t) for t in u]
             phi = footrule_coefficient(PairedSample(normal_x, v)).phi
@@ -124,17 +140,11 @@ class TestDrawStatistic:
         assert math.isfinite(draw_statistic(StreamKey(0, 0), 1, Statistic.HAJEK))
 
     def test_null_mean_footrule_n10(self):
-        values = [
-            draw_statistic(StreamKey(42, rep), 10, Statistic.FOOTRULE)
-            for rep in range(10_000)
-        ]
+        values, _ = _draw_many(42, 10, Statistic.FOOTRULE, 10_000, 1)
         assert abs(np.mean(values)) < 0.0065  # 3 sigma at Var = 0.04646
 
     def test_null_variance_double_sum_n10(self):
-        values = [
-            draw_statistic(StreamKey(42, rep), 10, Statistic.DOUBLE_SUM)
-            for rep in range(10_000)
-        ]
+        values, _ = _draw_many(42, 10, Statistic.DOUBLE_SUM, 10_000, 1)
         assert np.var(values, ddof=1) == pytest.approx(0.0367, abs=0.0016)
 
 
@@ -151,10 +161,8 @@ class TestMomentStudy:
     def test_matches_manual_replication_loop(self, stat):
         rows = run_moment_study(seed=11, sample_sizes=(12,), replications=100)
         [row] = [row for row in rows if row.statistic is stat]
-        values = [
-            draw_statistic(StreamKey(11, rep), 12, stat)
-            for rep in range(100)
-        ]
+        # against numpy's Generator, one replication at a time
+        values = [draw_value(StreamKey(11, rep), 12, stat)[0] for rep in range(100)]
         expected = summarize(values, 0.0)
         assert row.summary == expected
 
@@ -206,11 +214,9 @@ class TestKsStudy:
         assert first == second
 
     def test_footrule_repetition_at_n10(self):
-        values = [
-            draw_statistic(StreamKey(4, rep), 10, Statistic.FOOTRULE) * math.sqrt(10)
-            for rep in range(1000)
-        ]
-        assert len(set(values)) < 60  # the scaled statistic has few atoms
+        values, _ = _draw_many(4, 10, Statistic.FOOTRULE, 1000, 1)
+        values *= math.sqrt(10)
+        assert len(set(values.tolist())) < 60  # the scaled statistic has few atoms
 
     def test_double_sum_close_to_normal_even_at_n10(self):
         rows = run_ks_study(seed=42, sample_sizes=(10,), replications=1000)
@@ -223,10 +229,8 @@ class TestKsStudy:
         for n in range(20, 101, 10):
             hits = 0
             for i in range(10):
-                values = [
-                    draw_statistic(StreamKey(500 + i, rep), n, Statistic.HAJEK) * math.sqrt(n)
-                    for rep in range(1000)
-                ]
+                values, _ = _draw_many(500 + i, n, Statistic.HAJEK, 1000, 1)
+                values *= math.sqrt(n)
                 outcome = ks_one_sample(values, lambda t: normal_cdf(t, 0.0, 0.4))
                 hits += outcome.p_value > 0.01
             assert hits >= 8, f"n={n}: only {hits}/10 seeds above 0.01"
@@ -237,6 +241,8 @@ _BAD_SETTINGS = {
     "reps-below-2": dict(replications=1),
     "seed-negative": dict(seed=-1),
     "seed-too-large": dict(seed=2**64),
+    "threads-zero": dict(threads=0),
+    "threads-negative": dict(threads=-5),
 }
 
 
@@ -302,6 +308,15 @@ def reference_hajek(u, v):
     return 3.0 / (n + 1) * float(np.sum(terms))
 
 
+# m * (2^53 - 1) = low (mod 2^64) for m = low * INVERSE: the words whose low
+# word is `low`; numpy rejects those with low < _LEMIRE_THRESHOLD.
+INVERSE = pow(2**53 - 1, -1, 2**64)
+
+
+def rejected_word(low):
+    return low * INVERSE % 2**64
+
+
 class TestBatchedEngine:
     def test_streams_match_numpy_philox(self):
         # 4 seeds x 3 statistics x 3 lengths x 30 replications = 1080 streams
@@ -323,46 +338,102 @@ class TestBatchedEngine:
                         assert np.array_equal(uniforms[i], ints / 2**53)
 
     @staticmethod
-    def _spy(monkeypatch, edit):
-        """Edit the generated words in place; record scalar-path keys."""
-        real_words, real_value = simulate._philox_words, simulate._draw_value
-        scalar_keys = []
+    def _force(monkeypatch, rep, edits):
+        """Put `edits` ({word index: word}) into stream `rep` wherever the engine
+        reads it, make numpy's Philox and Generator unusable, and record the
+        replications the engine redraws one at a time."""
+        real_words, real_redraw = simulate._philox_words, simulate._redraw_row
+        redrawn = []
 
-        def words(*args):
-            out = real_words(*args).copy()
-            edit(out)
+        def words(seed, reps, block, count):
+            out = real_words(seed, reps, block, count).copy()
+            for k, word in edits.items():
+                if k < count:
+                    out[reps == rep, k] = word
             return out
 
-        def draw_value(key, *args):
-            scalar_keys.append(key)
-            return real_value(key, *args)
+        def redraw_row(seed, row_rep, *args):
+            redrawn.append(row_rep)
+            return real_redraw(seed, row_rep, *args)
+
+        def unusable(*args, **kwargs):
+            raise AssertionError("the engine called numpy's random module")
 
         monkeypatch.setattr(simulate, "_philox_words", words)
-        monkeypatch.setattr(simulate, "_draw_value", draw_value)
-        return scalar_keys
+        monkeypatch.setattr(simulate, "_redraw_row", redraw_row)
+        monkeypatch.setattr(np.random, "Philox", unusable)
+        monkeypatch.setattr(np.random, "Generator", unusable)
+        return redrawn
+
+    @staticmethod
+    def _head(seed, rep, block):
+        return _philox_words(seed, np.array([rep], dtype=np.uint64), block, 4)[0].copy()
 
     @pytest.mark.parametrize("stat", list(Statistic), ids=lambda s: s.value)
     def test_lemire_rejection_goes_to_scalar_path(self, monkeypatch, stat):
-        def edit(words):
-            words[3, 0] = 0  # 0 * (2^53 - 1) leaves low word 0 < 2048
-
-        scalar_keys = self._spy(monkeypatch, edit)
+        # word 0 of replication 3 is one numpy rejects: 0 * (2^53 - 1) leaves
+        # low word 0 < 2048, so the row's uniforms start at word 1
+        head = self._head(5, 3, _block(stat, 9))
+        head[0] = 0
+        expected = [draw_value(StreamKey(5, rep), 9, stat, head if rep == 3 else None)[0]
+                    for rep in range(8)]
+        redrawn = self._force(monkeypatch, 3, {0: 0})
         values, redraws = _draw_many(5, 9, stat, 8, 1)
-        assert scalar_keys == [StreamKey(5, 3)]
+        assert redrawn == [3]
         assert redraws == 0
-        expected = [draw_statistic(StreamKey(5, rep), 9, stat) for rep in range(8)]
         assert values.tolist() == expected
 
     def test_tied_row_goes_to_scalar_path(self, monkeypatch):
-        def edit(words):
-            words[5, 1] = words[5, 0]  # u_0 == u_1 in replication 5
+        # u_0 == u_1 in replication 5: its value comes from uniforms 18..35
+        head = self._head(5, 5, _block(Statistic.FOOTRULE, 9))
+        head[1] = head[0]
+        expected = [draw_value(StreamKey(5, rep), 9, Statistic.FOOTRULE,
+                               head if rep == 5 else None) for rep in range(8)]
+        assert [redraws for _, redraws in expected] == [0] * 5 + [1] + [0] * 2
+        redrawn = self._force(monkeypatch, 5, {1: head[0]})
+        values, redraws = _draw_many(5, 9, Statistic.FOOTRULE, 8, 1)
+        assert redrawn == [5]
+        assert redraws == 1
+        assert values.tolist() == [value for value, _ in expected]
 
-        scalar_keys = self._spy(monkeypatch, edit)
-        values, _ = _draw_many(5, 9, Statistic.FOOTRULE, 8, 1)
-        assert scalar_keys == [StreamKey(5, 5)]
-        expected = [draw_statistic(StreamKey(5, rep), 9, Statistic.FOOTRULE)
-                    for rep in range(8)]
-        assert values.tolist() == expected
+    @settings(max_examples=80, deadline=None)
+    @given(
+        stat=st.sampled_from(list(Statistic)),
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**64 - 1),
+        rep=st.integers(0, 3),
+        lows=st.lists(st.integers(0, _LEMIRE_THRESHOLD - 1), min_size=1, max_size=3),
+        tie=st.booleans(),
+        data=st.data(),
+    )
+    @example(stat=Statistic.FOOTRULE, n=5, seed=0, rep=2, lows=[0], tie=True, data=None)
+    @example(stat=Statistic.FOOTRULE, n=3, seed=1, rep=0, lows=[5, 2047, 0], tie=True,
+             data=None)
+    def test_rejection_runs_match_lemire_reference(self, stat, n, seed, rep, lows, tie,
+                                                   data):
+        # 1-3 consecutive words numpy rejects, from word `start` of one row,
+        # then optionally the next two accepted words equal (a tie when both
+        # fall in U or both in V)
+        start = data.draw(st.integers(0, 2 * n - 1)) if data else 0
+        block = _block(stat, n)
+        words = _philox_words(seed, np.array([rep], dtype=np.uint64), block, 6 * n + 8)[0]
+        edits = {start + j: rejected_word(low) for j, low in enumerate(lows)}
+        if tie:
+            edits[start + len(lows) + 1] = int(words[start + len(lows)])
+        words = words.tolist()
+        for k, word in edits.items():
+            words[k] = word
+        uniforms = lemire_uniforms(words)
+        expected, expected_redraws = redraw_loop(
+            lambda size: np.array(list(itertools.islice(uniforms, size))), n, stat)
+        clean, _ = _draw_many(seed, n, stat, 4, 1)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            redrawn = self._force(monkeypatch, rep, edits)
+            values, redraws = _draw_many(seed, n, stat, 4, 1)
+        assert redrawn == [rep]
+        assert values[rep] == expected
+        assert redraws == expected_redraws
+        assert np.delete(values, rep).tolist() == np.delete(clean, rep).tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -401,3 +472,42 @@ class TestBatchedEngine:
         assert main(base + ["--threads", "1", "--out", str(one)]) == 0
         assert main(base + ["--threads", "2", "--out", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
+
+
+class TestExactLawOracle:
+    """The engine's phi draws against the exact permutation law of D."""
+
+    REPS = 50_000
+
+    @pytest.mark.parametrize("n", [5, 10, 30])
+    def test_displacement_matches_exact_law(self, n):
+        phi, _ = _draw_many(42, n, Statistic.FOOTRULE, self.REPS, 1)
+        d = (1.0 - phi) * (n * n - 1) / 3.0
+        assert np.abs(d - np.rint(d)).max() < 1e-6
+        d = np.rint(d).astype(int)
+        law = enumerate_null_distribution(n)
+        assert set(d.tolist()) <= set(law.counts)
+        drawn = np.bincount(d, minlength=max_distance(n) + 1)
+
+        # G-test: adjacent D values merged, in ascending order, until each
+        # bin expects at least 5 draws; a short last bin joins the one before
+        bins = []
+        observed = expected = 0.0
+        for distance, count in law.sorted_items():
+            observed += drawn[distance]
+            expected += self.REPS * count / law.total
+            if expected >= 5.0:
+                bins.append([observed, expected])
+                observed = expected = 0.0
+        if expected:
+            bins[-1][0] += observed
+            bins[-1][1] += expected
+        o, e = np.array(bins).T
+        g = 2.0 * float(np.sum(o[o > 0] * np.log(o[o > 0] / e[o > 0])))
+        df = len(bins) - 1
+        p = float(mpmath.gammainc(df / 2, g / 2, mpmath.inf, regularized=True))
+        assert p > 1e-3, f"n={n}: G = {g:.1f} on {df} df, p = {p:.2e}"
+
+        _, variance = law.phi_moments_exact()
+        se = float(variance) * math.sqrt(2.0 / (self.REPS - 1))
+        assert np.var(phi, ddof=1) == pytest.approx(float(variance), abs=4 * se)
