@@ -19,10 +19,8 @@ from .common import (
     TiesError,
 )
 from .moments import (
-    NullMoments,
     cond_exp_abs_diff,
     limiting_variance,
-    null_moments,
     null_variance_exact,
 )
 from .ranks import (
@@ -78,7 +76,6 @@ __all__ = [
     "KsRow",
     "MomentRow",
     "NonFiniteError",
-    "NullMoments",
     "PairedSample",
     "SampleSizeError",
     "Statistic",
@@ -103,7 +100,6 @@ __all__ = [
     "max_distance",
     "normal_cdf",
     "normal_pdf",
-    "null_moments",
     "null_variance_exact",
     "run_curve_study",
     "run_ks_study",

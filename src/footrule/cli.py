@@ -15,11 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,18 +42,6 @@ EXIT_TIES = 3
 
 METHOD_NORMAL = "Normal"
 METHOD_EXACT = "Exact"
-
-
-@dataclass(frozen=True)
-class TestReport:
-    """Independence-test result for one data set."""
-
-    n: int
-    distance: int
-    phi: float
-    z: float
-    p_two_sided: float
-    method: str
 
 
 class CliError(Exception):
@@ -98,17 +86,62 @@ def _write_csv(path: Path | None, header: list[str], rows, full_precision: bool)
 # CSV records converted per `np.fromiter` call. It bounds what a read
 # holds besides the parsed values: one chunk of record lists.
 _CHUNK_RECORDS = 8192
+# Bytes per read of a `stat` input.
+_BLOCK_BYTES = 1 << 16
+
+
+def _decode_message(exc: UnicodeDecodeError, start: int) -> str:
+    """The text of `exc`, with its positions moved on by `start` bytes."""
+    first, last = start + exc.start, start + exc.end - 1
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {first}" if first == last
+             else f"bytes in position {first}-{last}")
+    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
+
+
+def _text_blocks(handle):
+    """The UTF-8 text of a binary file, in blocks that end at a line break.
+
+    A block with undecodable bytes is cut before the line that holds
+    them; the error comes on the next call, once the caller has used
+    every earlier line, and its positions count from the start of the
+    input.
+    """
+    start = 0   # input position of the first byte in `parts`
+    parts = []  # bytes read and not yet decoded
+    while True:
+        block = handle.read(_BLOCK_BYTES)
+        # A \r that ends the block may be the first half of a \r\n.
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+        if block and not cut:
+            parts.append(block)
+            continue
+        parts.append(block[:cut])
+        data = b"".join(parts)
+        parts = [block[cut:]]
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            good = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+            yield data[:good].decode("utf-8")
+            raise UnicodeError(_decode_message(exc, start)) from None
+        yield text
+        if not block:
+            return
+        start += len(data)
 
 
 def _csv_rows(handle, path: str, failure: list[CliError]):
-    """CSV records of an open file.
+    """CSV records of a file opened in binary mode.
 
+    Lines end at CR, LF or CR LF, as in text mode with newline="".
     Undecodable bytes or an oversized field end the records; that error
     (exit 2) goes into `failure`, so the records read before it still count.
     """
+    lines = itertools.chain.from_iterable(
+        io.StringIO(text, newline="") for text in _text_blocks(handle))
     try:
-        yield from csv.reader(handle)
-    except (UnicodeDecodeError, csv.Error) as exc:
+        yield from csv.reader(lines)
+    except (UnicodeError, csv.Error) as exc:
         failure.append(CliError(f"cannot read {path}: {exc}"))
 
 
@@ -172,7 +205,7 @@ def _read_paired_csv(path: str, has_header: bool) -> tuple[PairedSample, list[in
     infinite value is found by one numpy check over all of them.
     """
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        handle = open(path, "rb")
     except OSError as exc:
         raise CliError(f"cannot open {path}: {exc}") from exc
     read_errors: list[CliError] = []
@@ -221,49 +254,33 @@ def _tie_error(sample: PairedSample, skipped: list[int], exc: TiesError) -> CliE
     )
 
 
-def _independence_report(sample: PairedSample, exact: bool) -> TestReport:
-    result = footrule_coefficient(sample)
+def _cmd_stat(args: argparse.Namespace) -> int:
+    sample, skipped = _read_paired_csv(args.input, args.header)
+    try:
+        result = footrule_coefficient(sample)
+    except TiesError as exc:
+        raise _tie_error(sample, skipped, exc) from exc
     z = math.sqrt(result.n) * result.phi / math.sqrt(limiting_variance())
-    if exact:
-        if result.n > EXACT_MAX_N:
-            raise CliError(f"--exact supports n <= {EXACT_MAX_N}, got {result.n}")
-        dist = enumerate_null_distribution(result.n)
-        p = float(dist.two_sided_p(int(result.distance)))
+    if args.exact:
+        p = float(enumerate_null_distribution(result.n).two_sided_p(result.distance))
         method = METHOD_EXACT
     else:
         p = 2.0 * (1.0 - normal_cdf(abs(z)))
         method = METHOD_NORMAL
-    return TestReport(
-        n=result.n,
-        distance=int(result.distance),
-        phi=result.phi,
-        z=z,
-        p_two_sided=p,
-        method=method,
-    )
-
-
-def _cmd_stat(args: argparse.Namespace) -> int:
-    sample, skipped = _read_paired_csv(args.input, args.header)
-    try:
-        report = _independence_report(sample, args.exact)
-    except TiesError as exc:
-        raise _tie_error(sample, skipped, exc) from exc
     full = args.full_precision
     # The CSV goes first, so a run whose --out fails prints no report.
     if args.out:
         _write_csv(
             Path(args.out),
             ["n", "distance", "phi", "z", "p_value", "method"],
-            [[report.n, report.distance, report.phi, report.z,
-              report.p_two_sided, report.method]],
+            [[result.n, result.distance, result.phi, z, p, method]],
             full,
         )
-    print(f"n         {report.n}")
-    print(f"distance  {report.distance}")
-    print(f"phi       {_fmt(report.phi, full)}")
-    print(f"z         {_fmt(report.z, full)}")
-    print(f"p-value   {_fmt(report.p_two_sided, full)} ({report.method})")
+    print(f"n         {result.n}")
+    print(f"distance  {result.distance}")
+    print(f"phi       {_fmt(result.phi, full)}")
+    print(f"z         {_fmt(z, full)}")
+    print(f"p-value   {_fmt(p, full)} ({method})")
     return EXIT_OK
 
 
@@ -291,8 +308,6 @@ def _exact_rows(dist: ExactNullDistribution):
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    if not 2 <= args.n <= EXACT_MAX_N:
-        raise CliError(f"n must be in [2, {EXACT_MAX_N}], got {args.n}")
     path = _out_path(args.out)
     dist = enumerate_null_distribution(args.n)
     _write_csv(path, ["d", "count", "phi", "probability"],
@@ -310,14 +325,11 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 
 def _threads(args: argparse.Namespace) -> int:
     if args.threads is not None:
-        value = args.threads
-    else:
-        try:
-            value = int(os.environ.get("FOOTRULE_THREADS", "1"))
-        except ValueError as exc:
-            raise CliError(f"bad FOOTRULE_THREADS: {exc}") from exc
-    # Threads beyond the CPU count only add start-up cost; bytes never depend on it.
-    return min(value, os.cpu_count() or 1)
+        return args.threads
+    try:
+        return int(os.environ.get("FOOTRULE_THREADS", "1"))
+    except ValueError as exc:
+        raise CliError(f"bad FOOTRULE_THREADS: {exc}") from exc
 
 
 def _cmd_simulate_moments(args: argparse.Namespace) -> int:
@@ -410,10 +422,6 @@ def _add_simulate_common(parser: argparse.ArgumentParser, default_reps: int) -> 
                              "words; a study with one batch per (statistic, n) "
                              "runs inline; capped at the CPU count. Never "
                              "changes output bytes (default: FOOTRULE_THREADS or 1)")
-    parser.add_argument("--paper-marginals", action="store_true",
-                        help="no-op, kept for compatibility: normal-x/uniform-y "
-                             "data have the same ranks as the uniform pairs "
-                             "drawn, so output bytes are the same")
     parser.add_argument("--full-precision", action="store_true",
                         help="emit shortest round-trip decimals instead of 5 places")
 

@@ -7,20 +7,9 @@ checks can use near-machine tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .common import SampleSizeError, Statistic
-
-
-@dataclass(frozen=True)
-class NullMoments:
-    """Mean (always 0) and variance of one statistic at sample size n."""
-
-    n: int
-    mean: float
-    variance: float
-    kind: Statistic
 
 
 # Moments of |U-V| and U(1-U) for independent U, V ~ Uniform(0,1).
@@ -35,7 +24,11 @@ COV_ABS_DIFF_SHARED = Fraction(1, 180)
 
 
 def null_variance_exact(n: int, kind: Statistic) -> Fraction:
-    """Exact null variance of the given statistic as a rational number."""
+    """Exact null variance of the given statistic as a rational number.
+
+    All three statistics have mean 0 under independence; the variances
+    are 1/n-scale quantities with n * variance -> 2/5.
+    """
     if kind is Statistic.FOOTRULE:
         if n < 2:
             raise SampleSizeError("footrule variance needs n >= 2")
@@ -49,15 +42,6 @@ def null_variance_exact(n: int, kind: Statistic) -> Fraction:
             raise SampleSizeError("projected-form variance needs n >= 1")
         return Fraction(2 * n, 5 * (n + 1) ** 2)
     raise TypeError(f"unknown statistic kind: {kind!r}")
-
-
-def null_moments(n: int, kind: Statistic) -> NullMoments:
-    """Null mean and variance at sample size n.
-
-    All three statistics have mean 0 under independence; the variances
-    are 1/n-scale quantities with n * variance -> 2/5.
-    """
-    return NullMoments(n=n, mean=0.0, variance=float(null_variance_exact(n, kind)), kind=kind)
 
 
 def cond_exp_abs_diff(u: float) -> float:

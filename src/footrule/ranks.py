@@ -21,15 +21,13 @@ from .common import NonFiniteError, SampleSizeError, TiesError
 
 EXACT_MAX_N = 100
 
-_TIE_MODES = ("raise", "midrank")
-
 
 @dataclass(frozen=True)
 class PairedSample:
     """Two equal-length sequences of real observations.
 
     The underlying theory assumes continuous marginals, so tie-free data;
-    ranking enforces this unless mid-ranks are explicitly requested.
+    ranking enforces this.
     """
 
     x: np.ndarray
@@ -58,57 +56,35 @@ class PairedSample:
 class FootruleResult:
     """The displacement sum D and the coefficient 1 - 3*D/(n^2 - 1).
 
-    `distance` is integral whenever the ranks are tie-free; mid-rank
-    ties can make it fractional.
+    D is an even integer in [0, floor(n^2/2)]: the ranks are permutations.
     """
 
     n: int
-    distance: float
+    distance: int
     phi: float
 
 
-def compute_ranks(values, ties: str = "raise") -> np.ndarray:
+def compute_ranks(values) -> np.ndarray:
     """Rank a sequence of reals, smallest value getting rank 1.
 
     Args:
-        values: sequence of at least two distinct finite reals.
-        ties: "raise" rejects equal values (the continuity assumption);
-            "midrank" assigns tied values their average rank. Mid-ranks
-            fall outside the distributional theory and exist only as an
-            explicit escape hatch for tied data.
+        values: sequence of at least two distinct finite reals. Equal
+            values raise TiesError: the theory assumes continuous data.
 
     Returns:
-        int64 array that is a permutation of 1..n ("raise" mode), or a
-        float64 array of mid-ranks.
+        int64 array that is a permutation of 1..n.
     """
-    if ties not in _TIE_MODES:
-        raise ValueError(f"ties must be one of {_TIE_MODES}")
     vals = np.atleast_1d(np.asarray(values, dtype=float))
     if vals.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    n = len(vals)
-    if n < 2:
+    if len(vals) < 2:
         raise SampleSizeError("need at least 2 values to rank")
     if not np.isfinite(vals).all():
         raise NonFiniteError("values contain NaN or infinite entries")
 
     order, sv, has_tie, ranks = _rank_rows(vals)
-    if ties == "raise":
-        if has_tie:
-            raise _first_repeat(vals, order, sv)
-        return ranks
-
-    if not has_tie:
-        return ranks.astype(float)
-    run_start = np.empty(n, dtype=bool)
-    run_start[0] = True
-    run_start[1:] = sv[1:] != sv[:-1]
-    run_id = np.cumsum(run_start) - 1
-    run_len = np.bincount(run_id)
-    run_end = np.cumsum(run_len)
-    avg = (run_end - run_len + 1 + run_end) / 2.0
-    ranks = np.empty(n, dtype=float)
-    ranks[order] = avg[run_id]
+    if has_tie:
+        raise _first_repeat(vals, order, sv)
     return ranks
 
 
@@ -163,18 +139,15 @@ def _footrule_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return _displacement(r, s)[1], x_tied | y_tied
 
 
-def footrule_coefficient(sample: PairedSample, ties: str = "raise") -> FootruleResult:
+def footrule_coefficient(sample: PairedSample) -> FootruleResult:
     """Rank both margins and evaluate the footrule coefficient.
 
-    Raises TiesError on tied data unless ties="midrank" is requested.
-    n = 2 is allowed but degenerate: the value is either 1 or -1, the
-    latter below the large-sample floor of -1/2.
+    Raises TiesError on tied data. n = 2 is allowed but degenerate: the
+    value is either 1 or -1, the latter below the large-sample floor of
+    -1/2.
     """
-    r = compute_ranks(sample.x, ties=ties)
-    s = compute_ranks(sample.y, ties=ties)
-    d, phi = _displacement(r, s)
-    distance = int(d) if r.dtype.kind == "i" else float(d)
-    return FootruleResult(n=sample.n, distance=distance, phi=float(phi))
+    d, phi = _displacement(compute_ranks(sample.x), compute_ranks(sample.y))
+    return FootruleResult(n=sample.n, distance=int(d), phi=float(phi))
 
 
 def max_distance(n: int) -> int:
@@ -263,10 +236,8 @@ def enumerate_null_distribution(n: int) -> ExactNullDistribution:
     carry into each other. Exact integer arithmetic throughout, O(n^2)
     big-int operations; capped at n = EXACT_MAX_N.
     """
-    if n < 2:
-        raise SampleSizeError("exact null law needs n >= 2")
-    if n > EXACT_MAX_N:
-        raise SampleSizeError(f"exact null law capped at n = {EXACT_MAX_N}")
+    if not 2 <= n <= EXACT_MAX_N:
+        raise SampleSizeError(f"exact null law needs 2 <= n <= {EXACT_MAX_N}, got {n}")
     width = math.factorial(n).bit_length() // 8 + 1
     slot = 8 * width
     rows = [1]  # rows[k]: packed polynomial of the states with k open pairs

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -258,8 +259,9 @@ def _draw_many(
     """All replication values, stream_id = replication index.
 
     Replications are drawn in chunks of about _CHUNK_WORDS words. With
-    several chunks and threads, chunks run on a thread pool (numpy
-    releases the GIL on large arrays); each value is written to its own
+    several chunks and threads, chunks run on a pool of at most
+    os.cpu_count() threads (numpy releases the GIL on large arrays; more
+    threads only add start-up cost); each value is written to its own
     slot, so output is identical for any thread count.
     """
     values = np.empty(replications, dtype=float)
@@ -271,9 +273,10 @@ def _draw_many(
         values[lo:hi], redraws = _draw_chunk(seed, n, statistic, lo, hi)
         return redraws
 
-    if threads <= 1 or len(starts) == 1:
+    workers = min(threads, len(starts), os.cpu_count() or 1)
+    if workers <= 1:
         return values, sum(map(fill, starts))
-    with ThreadPoolExecutor(max_workers=min(threads, len(starts))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return values, sum(pool.map(fill, starts))
 
 

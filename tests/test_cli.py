@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import io
@@ -116,6 +115,8 @@ class TestStatCommand:
         data = tmp_path / "data.csv"
         write_lines(data, [f"{i},{i + 0.5}" for i in range(EXACT_MAX_N + 1)])
         assert main(["stat", str(data), "--exact"]) == 2
+        assert capsys.readouterr().err == (
+            "footrule: exact null law needs 2 <= n <= 100, got 101\n")
 
     def test_exact_at_n12(self, tmp_path, capsys):
         # only the identity has D = 0, so P(|phi| >= 1) = 1/12!
@@ -150,18 +151,32 @@ class TestStatCommand:
         assert main(["stat", str(tmp_path / "nope.csv")]) == 2
 
 
+def decoded_lines(data):
+    """The lines of `data`, decoded one at a time; decode errors count from byte 0."""
+    position = 0
+    for line in data.splitlines(keepends=True):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnicodeDecodeError(exc.encoding, data, position + exc.start,
+                                     position + exc.end, exc.reason) from None
+        position += len(line)
+
+
 def reference_read(path, has_header):
     """The row-wise `stat` reader the streaming one replaced: (xs, ys) or CliError.
 
-    Kept as a test oracle, with two changes: tie messages number csv
-    records, counting blank records, like every other message; and the
-    header is the first non-blank record, not always record 1.
+    Kept as a test oracle, with three changes: tie messages number csv
+    records, counting blank records, like every other message; the
+    header is the first non-blank record, not always record 1; and lines
+    are decoded one at a time, so undecodable bytes are found only after
+    every earlier record.
     """
     xs, ys, numbers = [], [], []
     header_pending = has_header
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "rb") as handle:
         try:
-            for lineno, row in enumerate(csv.reader(handle), start=1):
+            for lineno, row in enumerate(csv.reader(decoded_lines(handle.read())), start=1):
                 if not row:
                     continue
                 if header_pending:
@@ -239,19 +254,19 @@ class TestStatReader:
         csv.field_size_limit(old)
 
     @staticmethod
-    def check(path, header, chunk):
+    def check(path, header, chunk, block):
         try:
             expected = reference_read(path, header)
         except CliError as exc:
             expected = exc
-        old_chunk = cli._CHUNK_RECORDS
-        cli._CHUNK_RECORDS = chunk
+        old = cli._CHUNK_RECORDS, cli._BLOCK_BYTES
+        cli._CHUNK_RECORDS, cli._BLOCK_BYTES = chunk, block
         try:
             outcome = run_main(["stat", str(path)] + ["--header"] * header)
             read = None if isinstance(expected, CliError) else cli._read_paired_csv(
                 str(path), header)[0]
         finally:
-            cli._CHUNK_RECORDS = old_chunk
+            cli._CHUNK_RECORDS, cli._BLOCK_BYTES = old
         if isinstance(expected, CliError):
             assert outcome == (expected.code, "", f"footrule: {expected}\n")
         else:
@@ -260,17 +275,23 @@ class TestStatReader:
             assert read.y.tobytes() == np.array(expected[1]).tobytes()
 
     @settings(max_examples=400, deadline=None)
-    @given(data=csv_bytes(), header=st.booleans(), chunk=st.sampled_from([1, 2, 3, 8192]))
-    @example(data=b"1,2\nnan,3\n1,2,3\n", header=False, chunk=1)
-    @example(data=b"1,2\r\n3,inf\r\n\xff,1\r\n", header=False, chunk=2)
-    @example(data=b"x,y\n1,2\n-inf,3\n" + b"9" * 40 + b",1\n", header=True, chunk=8192)
-    @example(data=b"1,2\n\n  \n3,4\n", header=False, chunk=1)
-    @example(data=b'"1_0", 2 \r"3"," 4"\r5,6', header=False, chunk=2)
-    @example(data=b"\nx,y\n1,2\n3,4\n", header=True, chunk=1)
-    def test_matches_reference(self, tmp_path_factory, data, header, chunk):
+    @given(data=csv_bytes(), header=st.booleans(), chunk=st.sampled_from([1, 2, 3, 8192]),
+           block=st.sampled_from([1, 2, 5, 16, 1 << 16]))
+    @example(data=b"1,2\nnan,3\n1,2,3\n", header=False, chunk=1, block=1 << 16)
+    @example(data=b"1,2\r\n3,inf\r\n\xff,1\r\n", header=False, chunk=2, block=5)
+    @example(data=b"x,y\n1,2\n-inf,3\n" + b"9" * 40 + b",1\n", header=True, chunk=8192,
+             block=16)
+    @example(data=b"1,2\n\n  \n3,4\n", header=False, chunk=1, block=1)
+    @example(data=b'"1_0", 2 \r"3"," 4"\r5,6', header=False, chunk=2, block=1)
+    @example(data=b"\nx,y\n1,2\n3,4\n", header=True, chunk=1, block=1 << 16)
+    @example(data=b"nan,1\n\xff,2\n", header=False, chunk=8192, block=1 << 16)
+    @example(data=b"1,2\n" * 2100 + b"1,2,3\n\xff,1\n", header=False, chunk=8192,
+             block=1 << 16)
+    @example(data=b"1,2\n" * 2100 + b"1,\xe2\x82\r\n", header=False, chunk=8192, block=16)
+    def test_matches_reference(self, tmp_path_factory, data, header, chunk, block):
         path = tmp_path_factory.getbasetemp() / "fuzz.csv"
         path.write_bytes(data)
-        self.check(path, header, chunk)
+        self.check(path, header, chunk, block)
 
     @pytest.mark.parametrize("lines, bad", [
         (["1,2", "nan,3", "1,2,3"], "malformed"),
@@ -284,7 +305,6 @@ class TestStatReader:
         assert capsys.readouterr().err == "footrule: row 2: NaN or infinite value\n"
 
     def test_nonfinite_row_wins_over_later_undecodable_bytes(self, tmp_path, capsys):
-        # past the first decode block, so the NaN row is read before the bad bytes
         lines = b"".join(b"%d,%d\n" % (i, -i) for i in range(2000))
         data = tmp_path / "data.csv"
         data.write_bytes(lines + b"nan,1\n" + lines.replace(b"\n", b".5\n") + b"\xff,1\n")
@@ -337,14 +357,6 @@ def test_stat_reads_a_pipe(tmp_path):
 
 
 def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    assert cli._threads(argparse.Namespace(threads=64)) == 2
-    assert cli._threads(argparse.Namespace(threads=1)) == 1
-    monkeypatch.setenv("FOOTRULE_THREADS", "64")
-    assert cli._threads(argparse.Namespace(threads=None)) == 2
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._threads(argparse.Namespace(threads=None)) == 1
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     workers = []
 
     class Pool(simulate.ThreadPoolExecutor):
@@ -353,7 +365,15 @@ def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", Pool)
-    # n = 100 at 1400 reps is three batches, so a pool runs.
+    # n = 100 at 1400 reps is three batches per statistic, so a pool runs.
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    simulate.run_moment_study(8, (100,), 1400, threads=64)
+    assert workers == [2, 2, 2]
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+    simulate.run_moment_study(8, (100,), 1400, threads=64)
+    assert workers == [2, 2, 2]  # no CPU count: one worker, inline
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("FOOTRULE_THREADS", "64")
     base = ["simulate", "moments", "--n-list", "100", "--reps", "1400", "--seed", "8"]
     outputs = []
     for extra in (["--threads", "1"], ["--threads", "64"], []):
@@ -361,7 +381,7 @@ def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch):
         assert main(base + extra + ["--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-    assert workers and max(workers) == 2
+    assert max(workers) == 2 and len(workers) == 9
 
 
 class TestExactCommand:
@@ -385,6 +405,8 @@ class TestExactCommand:
     def test_cap_exits_2(self, capsys):
         assert main(["exact", str(EXACT_MAX_N + 1)]) == 2
         assert main(["exact", "1"]) == 2
+        message = "footrule: exact null law needs 2 <= n <= 100, got {}\n"
+        assert capsys.readouterr() == ("", message.format(101) + message.format(1))
 
     def test_probabilities_sum_to_one(self, tmp_path):
         out = tmp_path / "null6.csv"
@@ -493,17 +515,11 @@ class TestSimulateCommands:
         assert main(["simulate", "moments", "--n-list", "10,zebra"]) == 2
         assert main(["simulate", "moments", "--n-list", "1,10"]) == 2
 
-    def test_paper_marginals_identical_output(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["simulate", "moments", "--n-list", "10", "--reps", "80", "--seed", "6"]
-        assert main(base + ["--out", str(a)]) == 0
-        assert main(base + ["--paper-marginals", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_usage_error_is_exit_2(self):
-        with pytest.raises(SystemExit) as info:
-            main(["simulate"])
-        assert info.value.code == 2
+    def test_usage_error_is_exit_2(self, capsys):
+        for argv in (["simulate"], ["simulate", "moments", "--paper-marginals"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2, argv
 
 
 @pytest.mark.parametrize("argv, lines, code", [

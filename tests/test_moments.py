@@ -8,7 +8,6 @@ from footrule.common import SampleSizeError, Statistic
 from footrule.moments import (
     cond_exp_abs_diff,
     limiting_variance,
-    null_moments,
     null_variance_exact,
 )
 from footrule.ranks import EXACT_MAX_N, enumerate_null_distribution
@@ -16,30 +15,29 @@ from footrule.ranks import EXACT_MAX_N, enumerate_null_distribution
 
 class TestNullMoments:
     def test_footrule_n10(self):
-        out = null_moments(10, Statistic.FOOTRULE)
-        assert out.mean == 0.0
-        assert null_variance_exact(10, Statistic.FOOTRULE) == Fraction(207, 4455)
-        assert out.variance == pytest.approx(0.0464646, abs=5e-8)
+        out = null_variance_exact(10, Statistic.FOOTRULE)
+        assert out == Fraction(207, 4455)
+        assert float(out) == pytest.approx(0.0464646, abs=5e-8)
 
     def test_double_sum_n10(self):
-        assert null_variance_exact(10, Statistic.DOUBLE_SUM) == Fraction(200, 5445)
-        out = null_moments(10, Statistic.DOUBLE_SUM)
-        assert out.variance == pytest.approx(0.0367309, abs=5e-8)
+        out = null_variance_exact(10, Statistic.DOUBLE_SUM)
+        assert out == Fraction(200, 5445)
+        assert float(out) == pytest.approx(0.0367309, abs=5e-8)
 
     def test_hajek_n10(self):
         assert null_variance_exact(10, Statistic.HAJEK) == Fraction(20, 605)
 
     def test_footrule_n2_is_one(self):
-        assert null_moments(2, Statistic.FOOTRULE).variance == 1.0
+        assert null_variance_exact(2, Statistic.FOOTRULE) == 1
 
     def test_size_guards(self):
         with pytest.raises(SampleSizeError):
-            null_moments(1, Statistic.FOOTRULE)
+            null_variance_exact(1, Statistic.FOOTRULE)
         with pytest.raises(SampleSizeError):
-            null_moments(1, Statistic.DOUBLE_SUM)
+            null_variance_exact(1, Statistic.DOUBLE_SUM)
         with pytest.raises(SampleSizeError):
-            null_moments(0, Statistic.HAJEK)
-        assert null_moments(1, Statistic.HAJEK).variance == pytest.approx(0.1)
+            null_variance_exact(0, Statistic.HAJEK)
+        assert float(null_variance_exact(1, Statistic.HAJEK)) == pytest.approx(0.1)
 
     @pytest.mark.parametrize("n", [*range(2, 41), EXACT_MAX_N])
     def test_enumeration_agrees_exactly(self, n):
@@ -56,7 +54,7 @@ class TestNullMoments:
     def test_scaled_variances_converge_to_limit(self):
         n = 10_000
         for kind in Statistic:
-            assert n * null_moments(n, kind).variance == pytest.approx(0.4, abs=1e-3)
+            assert n * float(null_variance_exact(n, kind)) == pytest.approx(0.4, abs=1e-3)
 
 
 class TestLimitingVariance:

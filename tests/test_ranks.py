@@ -98,18 +98,6 @@ class TestComputeRanks:
             values = rng.normal(size=n)
             assert compute_ranks(values).tolist() == rank_by_counting(values)
 
-    def test_midrank_mode(self):
-        assert compute_ranks([1.0, 1.0, 2.0], ties="midrank").tolist() == [1.5, 1.5, 3.0]
-        assert compute_ranks([5.0, 1.0, 5.0, 5.0], ties="midrank").tolist() == [3.0, 1.0, 3.0, 3.0]
-
-    def test_midrank_tie_free_matches_default(self):
-        values = [0.4, -2.0, 1.5, 0.0]
-        assert compute_ranks(values, ties="midrank").tolist() == compute_ranks(values).tolist()
-
-    def test_unknown_tie_mode(self):
-        with pytest.raises(ValueError):
-            compute_ranks([1.0, 2.0], ties="sport")
-
 
 class TestRankVectors:
     def test_from_sample(self):
@@ -136,7 +124,8 @@ class TestFootruleDistance:
 
     def test_hand_sum_n5(self):
         sample = PairedSample([1, 2, 3, 4, 5], [2, 1, 3, 5, 4])
-        assert footrule_coefficient(sample).distance == 4
+        distance = footrule_coefficient(sample).distance
+        assert distance == 4 and type(distance) is int
 
 
 class TestFootruleCoefficient:
@@ -175,14 +164,6 @@ class TestFootruleCoefficient:
         with pytest.raises(TiesError):
             footrule_coefficient(PairedSample([1.0, 1.0, 2.0], [1.0, 2.0, 3.0]))
 
-    def test_midrank_optin(self):
-        result = footrule_coefficient(
-            PairedSample([1.0, 1.0, 2.0], [1.0, 2.0, 3.0]), ties="midrank"
-        )
-        # mid-ranks (1.5, 1.5, 3) vs (1, 2, 3): D = 0.5 + 0.5 + 0 = 1
-        assert result.distance == pytest.approx(1.0)
-        assert result.phi == pytest.approx(1.0 - 3.0 * 1.0 / 8.0)
-
     def test_n2_degenerate_values(self):
         up = footrule_coefficient(PairedSample([0.0, 1.0], [0.0, 1.0]))
         down = footrule_coefficient(PairedSample([0.0, 1.0], [1.0, 0.0]))
@@ -217,9 +198,9 @@ class TestEnumeration:
         assert total * 3 == (16 - 1) * dist.total  # mean D = 5 exactly
 
     def test_out_of_range(self):
-        with pytest.raises(SampleSizeError):
+        with pytest.raises(SampleSizeError, match=r"needs 2 <= n <= 100, got 1$"):
             enumerate_null_distribution(1)
-        with pytest.raises(SampleSizeError):
+        with pytest.raises(SampleSizeError, match=r"needs 2 <= n <= 100, got 101$"):
             enumerate_null_distribution(EXACT_MAX_N + 1)
 
     @pytest.mark.parametrize("n", range(2, 11))

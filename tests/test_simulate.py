@@ -115,8 +115,8 @@ class TestDrawStatistic:
 
     def test_paper_marginals_bit_identical(self):
         # ranking is invariant under the strictly increasing inverse-normal
-        # transform, so normal-x data give the uniform draw's value exactly
-        # and --paper-marginals needs no code path of its own
+        # transform, so the paper's normal-x, uniform-y data give the
+        # uniform draw's value exactly
         inverse_normal = statistics.NormalDist().inv_cdf
         for rep in range(20):
             key = StreamKey(3, rep)
