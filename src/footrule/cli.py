@@ -6,8 +6,8 @@ Commands:
   simulate  run the moments / kstest / curves studies and emit CSV
 
 Exit codes: 0 success, 2 usage errors (including invalid study settings,
-an unreadable input CSV and an unwritable --out), 3 tied data (the
-continuity assumption is violated).
+an unreadable input CSV, an unwritable --out and a failed write to
+stdout), 3 tied data (the continuity assumption is violated).
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ from .common import TiesError
 from .moments import limiting_variance
 from .ranks import (
     EXACT_MAX_N,
-    ExactNullDistribution,
     PairedSample,
     enumerate_null_distribution,
     footrule_coefficient,
 )
-from .simulate import run_curve_study, run_ks_study, run_moment_study
-from .stats import normal_cdf
+from .simulate import CurveRow, run_curve_study, run_ks_study, run_moment_study
+from .stats import CurveGrid, normal_cdf
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,24 +51,61 @@ class CliError(Exception):
         self.code = code
 
 
-def _fmt(value, full_precision: bool) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value)) if full_precision else f"{float(value):.5f}"
+def _float_format(full_precision: bool):
+    """How a float is written: shortest round-trip decimals, or 5 places."""
+    return repr if full_precision else "{:.5f}".format
 
 
-def _write_csv(path: Path | None, header: list[str], rows, full_precision: bool) -> None:
-    """Write rows as CSV; a partial file never survives a failure."""
+def _block_text(block, fmt) -> str:
+    """The CSV lines of one block: a tuple of equal-length columns.
+
+    A float64 array column is formatted in one pass with `fmt`; any other
+    column (ints, exact counts, fixed labels) with `str`. Every cell is a
+    number or a fixed label, so none needs csv quoting.
+    """
+    cells = [map(fmt, column.tolist())
+             if isinstance(column, np.ndarray) and column.dtype == np.float64
+             else map(str, column) for column in block]
+    lines = "\n".join(map(",".join, zip(*cells)))
+    return lines + "\n" if lines else ""
+
+
+def _to_stdout(emit) -> None:
+    """Run `emit(sys.stdout)` and flush; a failed write exits 2 with one line.
+
+    After a failure fd 1 points at the null device, so the flush at
+    interpreter exit cannot fail again and print a second report.
+    """
+    try:
+        emit(sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):
+            pass  # not a file: nothing is flushed at exit
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise CliError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
+def _write_csv(path: Path | None, header: list[str], blocks, full_precision: bool) -> None:
+    """Write blocks of columns as CSV; a partial file never survives a failure.
+
+    Each block is formatted and written before the next one is taken from
+    `blocks`, so only one block's text is held at a time.
+    """
+    fmt = _float_format(full_precision)
+
     def emit(handle) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v, full_precision) for v in row])
+        handle.write(",".join(header) + "\n")
+        for block in blocks:
+            handle.write(_block_text(block, fmt))
 
     if path is None:
-        emit(sys.stdout)
+        _to_stdout(emit)
         return
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -267,20 +303,22 @@ def _cmd_stat(args: argparse.Namespace) -> int:
     else:
         p = 2.0 * (1.0 - normal_cdf(abs(z)))
         method = METHOD_NORMAL
-    full = args.full_precision
     # The CSV goes first, so a run whose --out fails prints no report.
     if args.out:
         _write_csv(
             Path(args.out),
             ["n", "distance", "phi", "z", "p_value", "method"],
-            [[result.n, result.distance, result.phi, z, p, method]],
-            full,
+            [([result.n], [result.distance], np.array([result.phi]), np.array([z]),
+              np.array([p]), [method])],
+            args.full_precision,
         )
-    print(f"n         {result.n}")
-    print(f"distance  {result.distance}")
-    print(f"phi       {_fmt(result.phi, full)}")
-    print(f"z         {_fmt(z, full)}")
-    print(f"p-value   {_fmt(p, full)} ({method})")
+    fmt = _float_format(args.full_precision)
+    report = (f"n         {result.n}\n"
+              f"distance  {result.distance}\n"
+              f"phi       {fmt(float(result.phi))}\n"
+              f"z         {fmt(float(z))}\n"
+              f"p-value   {fmt(float(p))} ({method})\n")
+    _to_stdout(lambda handle: handle.write(report))
     return EXIT_OK
 
 
@@ -301,17 +339,14 @@ def _out_path(out: str | None) -> Path | None:
     return path
 
 
-def _exact_rows(dist: ExactNullDistribution):
-    total = dist.total
-    for d, count in dist.sorted_items():
-        yield [d, count, dist.phi(d), count / total]
-
-
 def _cmd_exact(args: argparse.Namespace) -> int:
     path = _out_path(args.out)
     dist = enumerate_null_distribution(args.n)
-    _write_csv(path, ["d", "count", "phi", "probability"],
-               _exact_rows(dist), args.full_precision)
+    distances, counts = zip(*dist.sorted_items())
+    # Exact integer division: each probability is the correctly rounded float.
+    block = (distances, counts, np.array([dist.phi(d) for d in distances]),
+             np.array([count / dist.total for count in counts]))
+    _write_csv(path, ["d", "count", "phi", "probability"], [block], args.full_precision)
     return EXIT_OK
 
 
@@ -349,8 +384,9 @@ def _cmd_simulate_moments(args: argparse.Namespace) -> int:
                 f"for {entry.statistic.value}",
                 file=sys.stderr,
             )
+    labels, sizes, *floats = zip(*rows)
     _write_csv(path, ["statistic", "n", "em", "ev", "bias", "rmse"],
-               rows, args.full_precision)
+               [(labels, sizes, *map(np.array, floats))], args.full_precision)
     return EXIT_OK
 
 
@@ -365,8 +401,9 @@ def _cmd_simulate_kstest(args: argparse.Namespace) -> int:
             threads=_threads(args),
         )
     ]
+    sizes, combinations, *floats = zip(*rows)
     _write_csv(path, ["n", "combination", "ks_stat", "p_value"],
-               rows, args.full_precision)
+               [(sizes, combinations, *map(np.array, floats))], args.full_precision)
     return EXIT_OK
 
 
@@ -377,6 +414,12 @@ def _curve_paths(base: Path) -> tuple[Path, Path]:
         base.with_name(base.name + "_density.csv"),
         base.with_name(base.name + "_cdf.csv"),
     )
+
+
+def _curve_block(entry: CurveRow, curve: CurveGrid, ref: np.ndarray) -> tuple:
+    """One curve's CSV block: statistic, n, grid, curve values, reference."""
+    size = len(curve.grid)
+    return [entry.statistic.value] * size, [entry.n] * size, curve.grid, curve.values, ref
 
 
 def _cmd_simulate_curves(args: argparse.Namespace) -> int:
@@ -390,20 +433,13 @@ def _cmd_simulate_curves(args: argparse.Namespace) -> int:
         grid_size=args.grid_size,
         threads=_threads(args),
     )
-    density_rows = []
-    cdf_rows = []
-    for entry in entries:
-        label = entry.statistic.value
-        for g, dens, ref in zip(entry.density.grid, entry.density.values,
-                                entry.ref_density):
-            density_rows.append([label, entry.n, g, dens, ref])
-        for g, height, ref in zip(entry.cdf.grid, entry.cdf.values, entry.ref_cdf):
-            cdf_rows.append([label, entry.n, g, height, ref])
     _write_csv(density_path, ["statistic", "n", "grid", "density", "ref_density"],
-               density_rows, args.full_precision)
+               (_curve_block(e, e.density, e.ref_density) for e in entries),
+               args.full_precision)
     try:
         _write_csv(cdf_path, ["statistic", "n", "grid", "cdf", "ref_cdf"],
-                   cdf_rows, args.full_precision)
+                   (_curve_block(e, e.cdf, e.ref_cdf) for e in entries),
+                   args.full_precision)
     except BaseException:
         density_path.unlink(missing_ok=True)
         raise

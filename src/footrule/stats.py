@@ -21,6 +21,10 @@ _SERIES_EPS = 1e-16
 # Below this the alternating series needs millions of terms while the
 # survival probability is 1 to far beyond double precision.
 _KOLMOGOROV_SMALL = 0.05
+# Samples per KDE chunk and grid rows per tile: two (32, 4096) float64
+# scratch buffers of 1 MiB each.
+_KDE_CHUNK = 4096
+_KDE_TILE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -186,11 +190,25 @@ def gaussian_kde(samples, grid_size: int = 512) -> CurveGrid:
     hi = float(np.max(x)) + 3.0 * b
     grid = np.linspace(lo, hi, grid_size)
     dens = np.zeros(grid_size)
-    # Chunked so the (grid, sample) difference matrix stays small.
-    for start in range(0, len(x), 4096):
-        chunk = x[start:start + 4096]
-        z = (grid[:, None] - chunk[None, :]) / b
-        dens += np.exp(-0.5 * z * z).sum(axis=1)
+    # Tiles of grid rows x sample chunk, in two scratch buffers reused in
+    # place. Each row adds its chunk sums in chunk order, so the tiling
+    # does not change a bit. A tile's view is contiguous, as the full
+    # (grid, chunk) matrix was, so exp and the row sums run the same loops.
+    size = min(_KDE_TILE_ROWS, grid_size) * min(_KDE_CHUNK, len(x))
+    z_buf, w_buf = np.empty(size), np.empty(size)
+    for start in range(0, len(x), _KDE_CHUNK):
+        chunk = x[start:start + _KDE_CHUNK]
+        for row in range(0, grid_size, _KDE_TILE_ROWS):
+            rows = grid[row:row + _KDE_TILE_ROWS, None]
+            cells = len(rows) * len(chunk)
+            z = z_buf[:cells].reshape(len(rows), len(chunk))
+            w = w_buf[:cells].reshape(z.shape)
+            np.subtract(rows, chunk, out=z)
+            np.divide(z, b, out=z)
+            np.multiply(z, -0.5, out=w)
+            np.multiply(w, z, out=w)
+            np.exp(w, out=w)
+            dens[row:row + len(rows)] += w.sum(axis=1)
     dens /= len(x) * b * math.sqrt(2.0 * math.pi)
     return CurveGrid(grid=grid, values=dens)
 

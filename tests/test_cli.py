@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import math
 import os
@@ -30,12 +31,18 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
-def run_fresh(argv, stdin=None):
-    """`footrule ARGV` in a new interpreter, with an 80-column help width."""
+def fresh_env():
+    """The environment of a new `footrule` interpreter: this source tree, 80 columns."""
     env = dict(os.environ, COLUMNS="80")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_fresh(argv, stdin=None, stdout=subprocess.PIPE):
+    """`footrule ARGV` in a new interpreter, with an 80-column help width."""
     return subprocess.run([sys.executable, "-m", "footrule.cli", *argv], input=stdin,
-                          capture_output=True, env=env, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, env=fresh_env(),
+                          timeout=120)
 
 
 def run_main(argv):
@@ -421,6 +428,95 @@ class TestExactCommand:
         assert main(["exact", "2"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "d,count,phi,probability"
+
+
+class TestStdoutWriteErrors:
+    """A failed write to stdout exits 2 with one line and no traceback."""
+
+    def test_closed_pipe(self, tmp_path):
+        # As `footrule exact 100 | head -n 1`: the CSV is far larger than a pipe buffer.
+        err_path = tmp_path / "err"
+        with open(err_path, "wb") as err:
+            proc = subprocess.Popen([sys.executable, "-m", "footrule.cli", "exact", "100"],
+                                    stdout=subprocess.PIPE, stderr=err, env=fresh_env())
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        assert first == b"d,count,phi,probability\n"
+        assert code == 2
+        message = f"footrule: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+        assert err_path.read_text() == message
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["exact", "30"], ["stat", "{csv}"]])
+    def test_full_device(self, tmp_path, argv):
+        data = tmp_path / "data.csv"
+        write_lines(data, ["0.3,1.0", "0.1,2.0", "0.7,0.5", "0.2,4.0"])
+        with open("/dev/full", "wb") as full:
+            proc = run_fresh([a.format(csv=data) for a in argv], stdout=full)
+        assert proc.returncode == 2
+        message = f"footrule: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        assert proc.stderr.decode() == message
+
+
+def old_fmt(value, full_precision):
+    """The per-cell rule of the row writer that the block writer replaced."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value)) if full_precision else f"{float(value):.5f}"
+
+
+def row_writer_csv(header, blocks, full_precision):
+    """The replaced row writer: `csv.writer` over rows of Python scalars."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for block in blocks:
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+        for row in zip(*columns):
+            writer.writerow([old_fmt(v, full_precision) for v in row])
+    return out.getvalue()
+
+
+LABELS = st.from_regex(r"[A-Za-z][A-Za-z0-9_-]*", fullmatch=True)
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e-300, 1e16, 0.1])
+COLUMNS = {
+    "float": lambda rows: st.lists(FLOATS, min_size=rows, max_size=rows).map(
+        lambda values: np.array(values, dtype=np.float64)),
+    "int": lambda rows: st.lists(st.integers(), min_size=rows, max_size=rows),
+    # Exact permutation counts run up to 100!, far past 2^63.
+    "count": lambda rows: st.lists(st.integers(2**63, math.factorial(EXACT_MAX_N)),
+                                   min_size=rows, max_size=rows),
+    "label": lambda rows: st.lists(LABELS, min_size=rows, max_size=rows),
+}
+
+
+@st.composite
+def csv_blocks(draw):
+    """A header and 1-3 blocks of the same column kinds, 0-8 rows each."""
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=6))
+    header = draw(st.lists(LABELS, min_size=len(kinds), max_size=len(kinds)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.integers(0, 8))
+        blocks.append(tuple(draw(COLUMNS[kind](rows)) for kind in kinds))
+    return header, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=csv_blocks(), full_precision=st.booleans())
+def test_block_writer_matches_row_writer(tmp_path_factory, data, full_precision):
+    header, blocks = data
+    expected = row_writer_csv(header, blocks, full_precision)
+    path = tmp_path_factory.mktemp("writer") / "out.csv"
+    cli._write_csv(path, header, iter(blocks), full_precision)
+    assert path.read_bytes() == expected.encode()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_csv(None, header, iter(blocks), full_precision)
+    assert out.getvalue() == expected
 
 
 class TestSimulateCommands:

@@ -3,6 +3,10 @@
 The files under golden/ were written by the per-replication numpy
 Generator engine, before the batched engine replaced it. Any change to a
 stream, a kernel's arithmetic or the CSV formatting shows up here.
+The default 5-place output is checked against the same files: every
+float cell is written in shortest round-trip form, so reading it back and
+formatting it to 5 places gives exactly the bytes a run without
+--full-precision must write.
 """
 
 from pathlib import Path
@@ -32,3 +36,30 @@ def test_output_matches_golden(tmp_path, name):
     for filename in files:
         written = tmp_path / filename if len(files) > 1 else out
         assert written.read_bytes() == (GOLDEN / filename).read_bytes(), filename
+
+
+# Columns that hold integers or labels; every other column holds floats.
+EXACT_COLUMNS = {"statistic", "n", "combination", "d", "count"}
+
+
+def five_places(golden: str) -> str:
+    """The golden CSV with every float cell rounded to 5 places."""
+    header, *rows = golden.splitlines()
+    keep = [name in EXACT_COLUMNS for name in header.split(",")]
+    lines = [header]
+    for row in rows:
+        cells = row.split(",")
+        lines.append(",".join(cell if exact else f"{float(cell):.5f}"
+                              for cell, exact in zip(cells, keep, strict=True)))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_default_precision_matches_rounded_golden(tmp_path, name):
+    argv, files = RUNS[name]
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    for filename in files:
+        written = tmp_path / filename if len(files) > 1 else out
+        golden = (GOLDEN / filename).read_text(encoding="utf-8")
+        assert written.read_text(encoding="utf-8") == five_places(golden), filename

@@ -167,6 +167,20 @@ class TestNullPValueCalibration:
         assert 0.02 <= low_two / runs <= 0.09
 
 
+def untiled_kde(samples, grid_size):
+    """The KDE before tiling: one (grid, 4096-sample chunk) matrix per chunk."""
+    x = np.asarray(samples, dtype=float)
+    b = bandwidth(x)
+    grid = np.linspace(float(np.min(x)) - 3.0 * b, float(np.max(x)) + 3.0 * b, grid_size)
+    dens = np.zeros(grid_size)
+    for start in range(0, len(x), 4096):
+        chunk = x[start:start + 4096]
+        z = (grid[:, None] - chunk[None, :]) / b
+        dens += np.exp(-0.5 * z * z).sum(axis=1)
+    dens /= len(x) * b * math.sqrt(2.0 * math.pi)
+    return grid, dens
+
+
 class TestGaussianKde:
     def test_two_point_symmetry(self):
         curve = gaussian_kde([-1.0, 1.0], grid_size=256)
@@ -190,6 +204,16 @@ class TestGaussianKde:
     def test_zero_spread_rejected(self):
         with pytest.raises(DegenerateSampleError):
             gaussian_kde([2.0, 2.0, 2.0])
+
+    # Partial last tiles (31, 33, 513 rows) and partial last chunks (4097, 9000).
+    @pytest.mark.parametrize("grid_size", [2, 31, 33, 64, 513])
+    @pytest.mark.parametrize("size", [2, 300, 4095, 4096, 4097, 9000])
+    def test_tiles_match_untiled_bits(self, size, grid_size):
+        x = np.random.default_rng(size).normal(size=size)
+        curve = gaussian_kde(x, grid_size=grid_size)
+        grid, dens = untiled_kde(x, grid_size)
+        assert curve.grid.tobytes() == grid.tobytes()
+        assert curve.values.tobytes() == dens.tobytes()
 
     def test_bandwidth_rule_by_hand(self):
         x = np.array([0.0, 1.0, 2.0, 4.0, 8.0])
