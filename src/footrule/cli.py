@@ -119,9 +119,6 @@ def _write_csv(path: Path | None, header: list[str], blocks, full_precision: boo
         raise
 
 
-# CSV records converted per `np.fromiter` call. It bounds what a read
-# holds besides the parsed values: one chunk of record lists.
-_CHUNK_RECORDS = 8192
 # Bytes per read of a `stat` input.
 _BLOCK_BYTES = 1 << 16
 
@@ -166,58 +163,6 @@ def _text_blocks(handle):
         start += len(data)
 
 
-def _csv_rows(handle, path: str, failure: list[CliError]):
-    """CSV records of a file opened in binary mode.
-
-    Lines end at CR, LF or CR LF, as in text mode with newline="".
-    Undecodable bytes or an oversized field end the records; that error
-    (exit 2) goes into `failure`, so the records read before it still count.
-    """
-    lines = itertools.chain.from_iterable(
-        io.StringIO(text, newline="") for text in _text_blocks(handle))
-    try:
-        yield from csv.reader(lines)
-    except (UnicodeError, csv.Error) as exc:
-        failure.append(CliError(f"cannot read {path}: {exc}"))
-
-
-def _floats(records) -> np.ndarray:
-    """The cells of two-cell records, in file order, as one float64 array."""
-    return np.fromiter(map(float, itertools.chain.from_iterable(records)),
-                       dtype=float, count=2 * len(records))
-
-
-def _chunk_values(chunk: list[list[str]], first: int, skipped: list[int]):
-    """Values of a chunk's data records up to its first bad record, and its error.
-
-    `first` is the csv record number of the chunk's first record. A chunk
-    of two-cell records that all parse takes one `np.fromiter`; any other
-    chunk is scanned record by record, which skips blank records (their
-    numbers go to `skipped`) and names the first bad one.
-    """
-    if set(map(len, chunk)) == {2}:
-        try:
-            return _floats(chunk), None
-        except ValueError:
-            pass
-    rows = []
-    error = None
-    for number, row in enumerate(chunk, start=first):
-        if not row:
-            skipped.append(number)
-            continue
-        if len(row) != 2:
-            error = CliError(f"row {number}: expected 2 columns, got {len(row)}")
-            break
-        try:
-            float(row[0]), float(row[1])
-        except ValueError:
-            error = CliError(f"row {number}: cannot parse {','.join(row)!r}")
-            break
-        rows.append(row)
-    return _floats(rows), error
-
-
 def _record_number(index: int, skipped: list[int]) -> int:
     """CSV record number (from 1) of data row `index` (from 0).
 
@@ -235,46 +180,54 @@ def _record_number(index: int, skipped: list[int]) -> int:
 def _read_paired_csv(path: str, has_header: bool) -> tuple[PairedSample, list[int]]:
     """The two columns of a `stat` CSV, and the numbers of its non-data records.
 
-    The input is read once, as a stream, so a pipe works. The first bad
-    record in file order exits 2 with its csv record number: every
-    record before a malformed or unreadable one is parsed, and a NaN or
-    infinite value is found by one numpy check over all of them.
+    The input is read once, as a stream, so a pipe works; lines end at
+    CR, LF or CR LF. Records are checked one by one and only their floats
+    are kept. The first bad record in file order exits 2 with its csv
+    record number: records are read up to a malformed or unreadable one,
+    and a NaN or infinite value among them is found by one numpy check.
     """
     try:
         handle = open(path, "rb")
     except OSError as exc:
         raise CliError(f"cannot open {path}: {exc}") from exc
-    read_errors: list[CliError] = []
     skipped: list[int] = []
-    parts = [np.empty(0)]
     error = None
-    with handle:
-        records = _csv_rows(handle, path, read_errors)
-        if has_header:
-            # The header is the first non-blank record; blank ones before it are skipped too.
+
+    def cells(records):
+        """x, then y, of each data record, up to the first bad one."""
+        nonlocal error
+        header = has_header  # the header is the first non-blank record
+        try:
             for number, row in enumerate(records, start=1):
-                skipped.append(number)
-                if row:
-                    break
-        first = len(skipped) + 1
-        while error is None:
-            chunk = list(itertools.islice(records, _CHUNK_RECORDS))
-            if not chunk:
-                break
-            values, error = _chunk_values(chunk, first, skipped)
-            parts.append(values)
-            first += len(chunk)
-    values = np.concatenate(parts).reshape(-1, 2)
+                if len(row) == 2 and not header:
+                    try:
+                        x, y = float(row[0]), float(row[1])
+                    except ValueError:
+                        error = CliError(f"row {number}: cannot parse {','.join(row)!r}")
+                        return
+                    yield x
+                    yield y
+                elif header or not row:
+                    skipped.append(number)
+                    header = header and not row
+                else:
+                    error = CliError(f"row {number}: expected 2 columns, got {len(row)}")
+                    return
+        except (UnicodeError, csv.Error) as exc:
+            error = CliError(f"cannot read {path}: {exc}")
+
+    with handle:
+        lines = itertools.chain.from_iterable(
+            io.StringIO(text, newline="") for text in _text_blocks(handle))
+        values = np.fromiter(cells(csv.reader(lines)), dtype=float).reshape(-1, 2)
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise CliError(f"row {_record_number(int(bad[0]), skipped)}: NaN or infinite value")
-    # A read error ends the records, so a bad record in the last chunk is earlier.
-    error = error or (read_errors[0] if read_errors else None)
     if error is not None:
         raise error
     if len(values) < 2:
         raise CliError("need at least 2 data rows")
-    x, y = np.ascontiguousarray(values.T)
+    x, y = values.T
     return PairedSample(x, y), skipped
 
 
@@ -352,10 +305,9 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise CliError(f"bad --n-list {text!r}: {exc}") from exc
-    return sizes
 
 
 def _threads(args: argparse.Namespace) -> int:
@@ -408,12 +360,8 @@ def _cmd_simulate_kstest(args: argparse.Namespace) -> int:
 
 
 def _curve_paths(base: Path) -> tuple[Path, Path]:
-    if base.suffix == ".csv":
-        base = base.with_suffix("")
-    return (
-        base.with_name(base.name + "_density.csv"),
-        base.with_name(base.name + "_cdf.csv"),
-    )
+    stem = base.with_suffix("") if base.suffix == ".csv" else base
+    return stem.with_name(stem.name + "_density.csv"), stem.with_name(stem.name + "_cdf.csv")
 
 
 def _curve_block(entry: CurveRow, curve: CurveGrid, ref: np.ndarray) -> tuple:
@@ -462,8 +410,19 @@ def _add_simulate_common(parser: argparse.ArgumentParser, default_reps: int) -> 
                         help="emit shortest round-trip decimals instead of 5 places")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help to stdout goes through `_to_stdout`:
+    argparse ignores a failed write, so lost help would exit 0."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _to_stdout(lambda handle: handle.write(self.format_help()))
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="footrule",
         description="Spearman's footrule: statistic, exact null law, and "
                     "simulation studies.",
@@ -515,8 +474,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         error, code = exc, exc.code

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -261,19 +262,19 @@ class TestStatReader:
         csv.field_size_limit(old)
 
     @staticmethod
-    def check(path, header, chunk, block):
+    def check(path, header, block):
         try:
             expected = reference_read(path, header)
         except CliError as exc:
             expected = exc
-        old = cli._CHUNK_RECORDS, cli._BLOCK_BYTES
-        cli._CHUNK_RECORDS, cli._BLOCK_BYTES = chunk, block
+        old = cli._BLOCK_BYTES
+        cli._BLOCK_BYTES = block
         try:
             outcome = run_main(["stat", str(path)] + ["--header"] * header)
             read = None if isinstance(expected, CliError) else cli._read_paired_csv(
                 str(path), header)[0]
         finally:
-            cli._CHUNK_RECORDS, cli._BLOCK_BYTES = old
+            cli._BLOCK_BYTES = old
         if isinstance(expected, CliError):
             assert outcome == (expected.code, "", f"footrule: {expected}\n")
         else:
@@ -282,23 +283,26 @@ class TestStatReader:
             assert read.y.tobytes() == np.array(expected[1]).tobytes()
 
     @settings(max_examples=400, deadline=None)
-    @given(data=csv_bytes(), header=st.booleans(), chunk=st.sampled_from([1, 2, 3, 8192]),
+    @given(data=csv_bytes(), header=st.booleans(),
            block=st.sampled_from([1, 2, 5, 16, 1 << 16]))
-    @example(data=b"1,2\nnan,3\n1,2,3\n", header=False, chunk=1, block=1 << 16)
-    @example(data=b"1,2\r\n3,inf\r\n\xff,1\r\n", header=False, chunk=2, block=5)
-    @example(data=b"x,y\n1,2\n-inf,3\n" + b"9" * 40 + b",1\n", header=True, chunk=8192,
-             block=16)
-    @example(data=b"1,2\n\n  \n3,4\n", header=False, chunk=1, block=1)
-    @example(data=b'"1_0", 2 \r"3"," 4"\r5,6', header=False, chunk=2, block=1)
-    @example(data=b"\nx,y\n1,2\n3,4\n", header=True, chunk=1, block=1 << 16)
-    @example(data=b"nan,1\n\xff,2\n", header=False, chunk=8192, block=1 << 16)
-    @example(data=b"1,2\n" * 2100 + b"1,2,3\n\xff,1\n", header=False, chunk=8192,
-             block=1 << 16)
-    @example(data=b"1,2\n" * 2100 + b"1,\xe2\x82\r\n", header=False, chunk=8192, block=16)
-    def test_matches_reference(self, tmp_path_factory, data, header, chunk, block):
+    @example(data=b"1,2\nnan,3\n1,2,3\n", header=False, block=1 << 16)
+    @example(data=b"1,2\r\n3,inf\r\n\xff,1\r\n", header=False, block=5)
+    @example(data=b"x,y\n1,2\n-inf,3\n" + b"9" * 40 + b",1\n", header=True, block=16)
+    @example(data=b"1,2\n\n  \n3,4\n", header=False, block=1)
+    @example(data=b'"1_0", 2 \r"3"," 4"\r5,6', header=False, block=1)
+    @example(data=b"\nx,y\n1,2\n3,4\n", header=True, block=1 << 16)
+    @example(data=b"nan,1\n\xff,2\n", header=False, block=1 << 16)
+    @example(data=b"1,2\n" * 2100 + b"1,2,3\n\xff,1\n", header=False, block=1 << 16)
+    @example(data=b"1,2\n" * 2100 + b"1,\xe2\x82\r\n", header=False, block=16)
+    # The header is any first non-blank record, whatever its cell count.
+    @example(data=b"a,b,c\n1,2\n3,4\n", header=True, block=1 << 16)
+    @example(data=b"h\n1,2\n3,4\n", header=True, block=1 << 16)
+    @example(data=b"\n\nx,y\n\n1,2\n3,4\n", header=True, block=1 << 16)
+    @example(data=b"\nx,y\n", header=True, block=1 << 16)
+    def test_matches_reference(self, tmp_path_factory, data, header, block):
         path = tmp_path_factory.getbasetemp() / "fuzz.csv"
         path.write_bytes(data)
-        self.check(path, header, chunk, block)
+        self.check(path, header, block)
 
     @pytest.mark.parametrize("lines, bad", [
         (["1,2", "nan,3", "1,2,3"], "malformed"),
@@ -317,6 +321,20 @@ class TestStatReader:
         data.write_bytes(lines + b"nan,1\n" + lines.replace(b"\n", b".5\n") + b"\xff,1\n")
         assert main(["stat", str(data)]) == 2
         assert capsys.readouterr().err == "footrule: row 2001: NaN or infinite value\n"
+
+    def test_holds_floats_not_records(self, tmp_path):
+        # Two float64 cells a row, with headroom for np.fromiter's growth.
+        rows = 100_000
+        data = tmp_path / "big.csv"
+        data.write_bytes(b"".join(b"%d.25,%d.5\n" % (i, rows - i) for i in range(rows)))
+        tracemalloc.start()
+        try:
+            sample, _ = cli._read_paired_csv(str(data), False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sample.n == rows
+        assert peak < 2.5 * 16 * rows
 
 
 def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
@@ -454,6 +472,15 @@ class TestStdoutWriteErrors:
         write_lines(data, ["0.3,1.0", "0.1,2.0", "0.7,0.5", "0.2,4.0"])
         with open("/dev/full", "wb") as full:
             proc = run_fresh([a.format(csv=data) for a in argv], stdout=full)
+        assert proc.returncode == 2
+        message = f"footrule: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+        assert proc.stderr.decode() == message
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_to_full_device(self, argv):
+        with open("/dev/full", "wb") as full:
+            proc = run_fresh(argv, stdout=full)
         assert proc.returncode == 2
         message = f"footrule: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
         assert proc.stderr.decode() == message
