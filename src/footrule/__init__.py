@@ -43,8 +43,6 @@ from .simulate import (
     CurveRow,
     KsRow,
     MomentRow,
-    StreamKey,
-    draw_statistic,
     run_curve_study,
     run_ks_study,
     run_moment_study,
@@ -79,14 +77,12 @@ __all__ = [
     "PairedSample",
     "SampleSizeError",
     "Statistic",
-    "StreamKey",
     "SummaryStats",
     "TiesError",
     "UniformPairs",
     "compute_ranks",
     "cond_exp_abs_diff",
     "double_sum_representation",
-    "draw_statistic",
     "ecdf_curve",
     "enumerate_null_distribution",
     "footrule_coefficient",

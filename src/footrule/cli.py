@@ -6,8 +6,9 @@ Commands:
   simulate  run the moments / kstest / curves studies and emit CSV
 
 Exit codes: 0 success, 2 usage errors (including invalid study settings,
-an unreadable input CSV, an unwritable --out and a failed write to
-stdout), 3 tied data (the continuity assumption is violated).
+settings too large for memory, an unreadable input CSV, an unwritable
+--out and a failed write to stdout), 3 tied data (the continuity
+assumption is violated).
 """
 
 from __future__ import annotations
@@ -310,15 +311,6 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         raise CliError(f"bad --n-list {text!r}: {exc}") from exc
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return args.threads
-    try:
-        return int(os.environ.get("FOOTRULE_THREADS", "1"))
-    except ValueError as exc:
-        raise CliError(f"bad FOOTRULE_THREADS: {exc}") from exc
-
-
 def _cmd_simulate_moments(args: argparse.Namespace) -> int:
     path = _out_path(args.out)
     rows = []
@@ -326,7 +318,7 @@ def _cmd_simulate_moments(args: argparse.Namespace) -> int:
         seed=args.seed,
         sample_sizes=_parse_n_list(args.n_list),
         replications=args.reps,
-        threads=_threads(args),
+        threads=args.threads,
     ):
         s = entry.summary
         rows.append([entry.statistic.value, entry.n, s.em, s.ev, s.bias, s.rmse])
@@ -350,7 +342,7 @@ def _cmd_simulate_kstest(args: argparse.Namespace) -> int:
             seed=args.seed,
             sample_sizes=_parse_n_list(args.n_list),
             replications=args.reps,
-            threads=_threads(args),
+            threads=args.threads,
         )
     ]
     sizes, combinations, *floats = zip(*rows)
@@ -379,7 +371,7 @@ def _cmd_simulate_curves(args: argparse.Namespace) -> int:
         sample_sizes=_parse_n_list(args.n_list),
         replications=args.reps,
         grid_size=args.grid_size,
-        threads=_threads(args),
+        threads=args.threads,
     )
     _write_csv(density_path, ["statistic", "n", "grid", "density", "ref_density"],
                (_curve_block(e, e.density, e.ref_density) for e in entries),
@@ -394,18 +386,19 @@ def _cmd_simulate_curves(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_simulate_common(parser: argparse.ArgumentParser, default_reps: int) -> None:
+def _add_simulate_common(parser: argparse.ArgumentParser, default_reps: int,
+                         out_help: str = "output CSV path (default: stdout)") -> None:
     parser.add_argument("--seed", type=int, default=42, help="stream seed (default 42)")
     parser.add_argument("--reps", type=int, default=default_reps,
                         help=f"replications per sample size (default {default_reps})")
     parser.add_argument("--n-list", default="10,20,30,40,50,60,70,80,90,100",
                         help="comma-separated sample sizes")
-    parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--out", help=out_help)
+    parser.add_argument("--threads", type=int, default=1,
                         help="worker threads across batches of about 2^17 random "
                              "words; a study with one batch per (statistic, n) "
                              "runs inline; capped at the CPU count. Never "
-                             "changes output bytes (default: FOOTRULE_THREADS or 1)")
+                             "changes output bytes (default 1)")
     parser.add_argument("--full-precision", action="store_true",
                         help="emit shortest round-trip decimals instead of 5 places")
 
@@ -459,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     kstest.set_defaults(func=_cmd_simulate_kstest)
 
     curves = study.add_parser("curves", help="KDE and ECDF curve data")
-    _add_simulate_common(curves, default_reps=100_000)
+    _add_simulate_common(curves, default_reps=100_000,
+                         out_help="base path, required: writes <out>_density.csv "
+                                  "and <out>_cdf.csv (a .csv suffix is dropped)")
     curves.add_argument("--grid-size", type=int, default=512,
                         help="points per curve (default 512)")
     curves.set_defaults(func=_cmd_simulate_curves, n_list="10,20,30,100")
@@ -481,8 +476,9 @@ def main(argv: list[str] | None = None) -> int:
         error, code = exc, exc.code
     except TiesError as exc:
         error, code = exc, EXIT_TIES
-    except ValueError as exc:
-        # Invalid study settings and other library input errors.
+    except (ValueError, MemoryError) as exc:
+        # Invalid study settings, other library input errors, and settings
+        # too large for memory.
         error, code = exc, EXIT_USAGE
     print(f"footrule: {error}", file=sys.stderr)
     return code

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import SampleSizeError, Statistic, TiesError
+from .common import Statistic, TiesError
 from .moments import limiting_variance
 # footrule_coefficient is unused here but stays bound: bench/test_bench.py
 # checks on this name that its tracer rebinds functions imported by name.
@@ -217,23 +217,6 @@ def _redraw_row(seed: int, rep: int, n: int, statistic: Statistic) -> tuple[floa
     raise TiesError(f"stream ({seed}, {rep}) tied on {_MAX_REDRAWS + 1} draws in a row")
 
 
-def draw_statistic(key: StreamKey, n: int, statistic: Statistic) -> float:
-    """One unscaled draw of the statistic at sample size n under independence.
-
-    The rank statistic is simulated on uniform marginals, which is valid
-    because ranking makes it distribution-free: any strictly increasing
-    transform of a margin, such as the inverse-normal one, gives the same
-    ranks and so the same value. This is one row of the batched engine;
-    the studies draw many replications per call.
-    """
-    if n < 2 and statistic is not Statistic.HAJEK:
-        raise SampleSizeError(f"{statistic.value} needs n >= 2")
-    if n < 1:
-        raise SampleSizeError("n must be positive")
-    values, _ = _draw_chunk(key.seed, n, statistic, key.stream_id, key.stream_id + 1)
-    return float(values[0])
-
-
 def _draw_chunk(seed: int, n: int, statistic: Statistic,
                 lo: int, hi: int) -> tuple[np.ndarray, int]:
     """Values of replications lo..hi-1, and their tie redraws."""
@@ -315,8 +298,9 @@ def _check_study(seed: int, sample_sizes: tuple[int, ...], replications: int,
         raise ValueError(f"replications must be >= 2, got {replications}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if not sample_sizes or min(sample_sizes) < 2:
-        raise ValueError(f"sample sizes must all be >= 2, got {list(sample_sizes)}")
+    # n is the low word of a counter block, so n >= 2^32 would share a block.
+    if not sample_sizes or not 2 <= min(sample_sizes) <= max(sample_sizes) < 1 << 32:
+        raise ValueError(f"sample sizes must all be in [2, 2^32), got {list(sample_sizes)}")
 
 
 def run_moment_study(

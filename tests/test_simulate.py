@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from footrule import simulate
 from footrule.cli import main
-from footrule.common import SampleSizeError, Statistic, TiesError
+from footrule.common import Statistic, TiesError
 from footrule.moments import null_variance_exact
 from footrule.ranks import (
     PairedSample,
@@ -34,7 +34,6 @@ from footrule.simulate import (
     _philox_words,
     _stream_uniforms,
     _uniform_rows,
-    draw_statistic,
     run_curve_study,
     run_ks_study,
     run_moment_study,
@@ -100,10 +99,9 @@ class TestUniformOpen:
 
 class TestDrawStatistic:
     def test_reproducible(self):
-        key = StreamKey(42, 12)
-        assert draw_statistic(key, 20, Statistic.FOOTRULE) == draw_statistic(
-            key, 20, Statistic.FOOTRULE
-        )
+        first, _ = _draw_many(42, 20, Statistic.FOOTRULE, 13, 1)
+        again, _ = _draw_many(42, 20, Statistic.FOOTRULE, 13, 1)
+        assert first[12] == again[12]
 
     def test_rank_draw_lives_on_the_lattice(self):
         values, _ = _draw_many(7, 10, Statistic.FOOTRULE, 50, 1)
@@ -118,26 +116,18 @@ class TestDrawStatistic:
         # transform, so the paper's normal-x, uniform-y data give the
         # uniform draw's value exactly
         inverse_normal = statistics.NormalDist().inv_cdf
+        drawn, _ = _draw_many(3, 50, Statistic.FOOTRULE, 20, 1)
         for rep in range(20):
-            key = StreamKey(3, rep)
             vec = _stream_uniforms(3, rep, _block(Statistic.FOOTRULE, 50), 100)
             u, v = vec[:50], vec[50:]
             normal_x = [inverse_normal(t) for t in u]
             phi = footrule_coefficient(PairedSample(normal_x, v)).phi
             assert phi == footrule_coefficient(PairedSample(u, v)).phi
-            assert phi == draw_statistic(key, 50, Statistic.FOOTRULE)
+            assert phi == drawn[rep]
 
     def test_statistics_use_distinct_streams(self):
-        key = StreamKey(21, 0)
-        values = {stat: draw_statistic(key, 25, stat) for stat in Statistic}
+        values = {stat: _draw_many(21, 25, stat, 1, 1)[0][0] for stat in Statistic}
         assert len(set(values.values())) == 3
-
-    def test_size_guards(self):
-        with pytest.raises(SampleSizeError):
-            draw_statistic(StreamKey(0, 0), 1, Statistic.FOOTRULE)
-        with pytest.raises(SampleSizeError):
-            draw_statistic(StreamKey(0, 0), 0, Statistic.HAJEK)
-        assert math.isfinite(draw_statistic(StreamKey(0, 0), 1, Statistic.HAJEK))
 
     def test_null_mean_footrule_n10(self):
         values, _ = _draw_many(42, 10, Statistic.FOOTRULE, 10_000, 1)
@@ -238,6 +228,7 @@ class TestKsStudy:
 
 _BAD_SETTINGS = {
     "n-below-2": dict(sample_sizes=(10, 1)),
+    "n-too-large": dict(sample_sizes=(10, 2**32)),
     "reps-below-2": dict(replications=1),
     "seed-negative": dict(seed=-1),
     "seed-too-large": dict(seed=2**64),
