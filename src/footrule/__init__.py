@@ -19,7 +19,6 @@ from .common import (
     TiesError,
 )
 from .moments import (
-    cond_exp_abs_diff,
     limiting_variance,
     null_variance_exact,
 )
@@ -35,9 +34,7 @@ from .ranks import (
 from .representations import (
     UniformPairs,
     double_sum_representation,
-    hajek_projection_term,
     hajek_representation,
-    u_kernel,
 )
 from .simulate import (
     CurveRow,
@@ -81,13 +78,11 @@ __all__ = [
     "TiesError",
     "UniformPairs",
     "compute_ranks",
-    "cond_exp_abs_diff",
     "double_sum_representation",
     "ecdf_curve",
     "enumerate_null_distribution",
     "footrule_coefficient",
     "gaussian_kde",
-    "hajek_projection_term",
     "hajek_representation",
     "kolmogorov_sf",
     "ks_one_sample",
@@ -101,5 +96,4 @@ __all__ = [
     "run_ks_study",
     "run_moment_study",
     "summarize",
-    "u_kernel",
 ]

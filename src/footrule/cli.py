@@ -298,8 +298,9 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     dist = enumerate_null_distribution(args.n)
     distances, counts = zip(*dist.sorted_items())
     # Exact integer division: each probability is the correctly rounded float.
+    total = dist.total
     block = (distances, counts, np.array([dist.phi(d) for d in distances]),
-             np.array([count / dist.total for count in counts]))
+             np.array([count / total for count in counts]))
     _write_csv(path, ["d", "count", "phi", "probability"], [block], args.full_precision)
     return EXIT_OK
 

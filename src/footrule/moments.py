@@ -44,13 +44,6 @@ def null_variance_exact(n: int, kind: Statistic) -> Fraction:
     raise TypeError(f"unknown statistic kind: {kind!r}")
 
 
-def cond_exp_abs_diff(u: float) -> float:
-    """E[|u - V|] for V ~ Uniform(0,1): 1/2 - u(1-u)."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError("u must lie in [0, 1]")
-    return 0.5 - u * (1.0 - u)
-
-
 def limiting_variance() -> float:
     """Variance of the common normal limit of the sqrt(n)-scaled statistics."""
     return 0.4

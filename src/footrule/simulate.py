@@ -353,16 +353,13 @@ def run_ks_study(
     Normal(0, 2/5) CDF; statistic pairs are two-sample tests.
     """
     _check_study(seed, sample_sizes, replications, threads)
-
-    def reference(t: float) -> float:
-        return normal_cdf(t, 0.0, limiting_variance())
-
+    var = limiting_variance()
     rows = []
     for n in sample_sizes:
         pools = _statistic_pools(seed, n, replications, threads)
         for left, right in KS_COMBINATIONS:
             if right == "normal":
-                outcome = ks_one_sample(pools[left], reference)
+                outcome = ks_one_sample(pools[left], lambda t: normal_cdf(t, 0.0, var))
             else:
                 outcome = ks_two_sample(pools[left], pools[right])
             rows.append(KsRow(n=n, combination=f"{left}-vs-{right}", outcome=outcome))
@@ -392,16 +389,14 @@ def run_curve_study(
             values = pools[stat.value]
             density = gaussian_kde(values, grid_size=grid_size)
             cdf = ecdf_curve(values, density.grid)
-            ref_density = np.array([normal_pdf(g, 0.0, var) for g in density.grid])
-            ref_cdf = np.array([normal_cdf(g, 0.0, var) for g in density.grid])
             rows.append(
                 CurveRow(
                     statistic=stat,
                     n=n,
                     density=density,
                     cdf=cdf,
-                    ref_density=ref_density,
-                    ref_cdf=ref_cdf,
+                    ref_density=normal_pdf(density.grid, 0.0, var),
+                    ref_cdf=normal_cdf(density.grid, 0.0, var),
                 )
             )
     return rows

@@ -7,16 +7,18 @@ and numpy array arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .common import BadVarianceError, DegenerateSampleError, SampleSizeError
+from .common import BadVarianceError, DegenerateSampleError, NonFiniteError, SampleSizeError
 
 ONE_SAMPLE = "one-sample"
 TWO_SAMPLE = "two-sample"
 
+_ROOT2 = math.sqrt(2.0)
 _SERIES_EPS = 1e-16
 # Below this the alternating series needs millions of terms while the
 # survival probability is 1 to far beyond double precision.
@@ -64,23 +66,49 @@ class CurveGrid:
         object.__setattr__(self, "values", values)
 
 
-def normal_cdf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
-    """P(Z <= x) for Z ~ Normal(mean, variance).
+def normal_cdf(x: float | np.ndarray, mean: float = 0.0, variance: float = 1.0):
+    """P(Z <= x) for Z ~ Normal(mean, variance), at a float or a 1-D array.
 
     erfc-based so the far tails keep full relative precision.
     """
     if not variance > 0.0:
         raise BadVarianceError(f"variance must be positive, got {variance}")
-    z = (x - mean) / math.sqrt(variance)
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+    sd = math.sqrt(variance)
+    if isinstance(x, float):  # np.float64 included
+        return _cdf(x, mean, sd)
+    return _each(_cdf, x, mean, sd)
 
 
-def normal_pdf(x: float, mean: float = 0.0, variance: float = 1.0) -> float:
-    """Density of Normal(mean, variance) at x."""
+def normal_pdf(x: float | np.ndarray, mean: float = 0.0, variance: float = 1.0):
+    """Density of Normal(mean, variance) at a float or a 1-D array."""
     if not variance > 0.0:
         raise BadVarianceError(f"variance must be positive, got {variance}")
-    z = (x - mean) ** 2 / (2.0 * variance)
-    return math.exp(-z) / math.sqrt(2.0 * math.pi * variance)
+    two_var = 2.0 * variance
+    norm = math.sqrt(2.0 * math.pi * variance)
+    if isinstance(x, float):
+        return _pdf(x, mean, two_var, norm)
+    return _each(_pdf, x, mean, two_var, norm)
+
+
+def _cdf(t: float, mean: float, sd: float) -> float:
+    return 0.5 * math.erfc(-((t - mean) / sd) / _ROOT2)
+
+
+def _pdf(t: float, mean: float, two_var: float, norm: float) -> float:
+    return math.exp(-((t - mean) ** 2 / two_var)) / norm
+
+
+def _each(f, x, *consts):
+    """f(t, *consts) at a 0-d x, or per element of a 1-D x as a float array.
+
+    `f` gets Python floats, so an element has the bits of the scalar call.
+    """
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim == 0:
+        return f(float(xs), *consts)
+    if xs.ndim != 1:
+        raise ValueError(f"x must be a float or a 1-D array, got {xs.ndim} dimensions")
+    return np.fromiter(map(f, xs.tolist(), *map(itertools.repeat, consts)), float, len(xs))
 
 
 def kolmogorov_sf(lam: float) -> float:
@@ -88,9 +116,10 @@ def kolmogorov_sf(lam: float) -> float:
 
     Terms below 1e-16 are dropped and the result is clamped to [0, 1];
     for lam below 0.05 the value is 1 to well past double precision.
+    NaN is rejected: no term of the series would ever fall below 1e-16.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be nonnegative")
+    if not lam >= 0.0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
     if lam < _KOLMOGOROV_SMALL:
         return 1.0
     total = 0.0
@@ -112,12 +141,13 @@ def ks_one_sample(samples, reference_cdf) -> KsOutcome:
     The statistic is the sup over sorted sample points of
     max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n); the p-value uses the
     asymptotic Kolmogorov survival function at sqrt(n) * statistic.
+    `reference_cdf` is called once per sample, on a Python float.
     """
-    xs = np.sort(np.asarray(samples, dtype=float))
+    xs = np.sort(_finite(samples))
     n = len(xs)
     if n < 2:
         raise SampleSizeError("one-sample KS needs at least 2 points")
-    ref = np.array([reference_cdf(t) for t in xs], dtype=float)
+    ref = np.fromiter(map(reference_cdf, xs.tolist()), dtype=float, count=n)
     i = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(i / n - ref)
     d_minus = np.max(ref - (i - 1) / n)
@@ -136,8 +166,8 @@ def ks_two_sample(a, b) -> KsOutcome:
     effective_n is m*n/(m+n); the p-value is asymptotic as in the
     one-sample case.
     """
-    xa = np.sort(np.asarray(a, dtype=float))
-    xb = np.sort(np.asarray(b, dtype=float))
+    xa = np.sort(_finite(a))
+    xb = np.sort(_finite(b))
     m, n = len(xa), len(xb)
     if m < 2 or n < 2:
         raise SampleSizeError("two-sample KS needs at least 2 points per sample")
@@ -153,6 +183,13 @@ def ks_two_sample(a, b) -> KsOutcome:
         effective_n=eff,
         mode=TWO_SAMPLE,
     )
+
+
+def _finite(samples) -> np.ndarray:
+    x = np.asarray(samples, dtype=float)
+    if not np.isfinite(x).all():
+        raise NonFiniteError("KS samples must be finite")
+    return x
 
 
 def bandwidth(samples) -> float:

@@ -14,7 +14,7 @@ import pytest
 from footrule import moments
 from footrule.cli import main
 from footrule.common import Statistic
-from footrule.moments import cond_exp_abs_diff, null_variance_exact
+from footrule.moments import null_variance_exact
 from footrule.ranks import enumerate_null_distribution
 from footrule.representations import (
     UniformPairs,
@@ -29,6 +29,7 @@ from footrule.simulate import (
     run_moment_study,
 )
 from footrule.stats import ks_one_sample, normal_cdf, summarize
+from oracles import cond_exp_abs_diff
 
 SEED = 42
 STATS = (Statistic.FOOTRULE, Statistic.DOUBLE_SUM, Statistic.HAJEK)

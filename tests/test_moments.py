@@ -6,11 +6,11 @@ import pytest
 from footrule import moments
 from footrule.common import SampleSizeError, Statistic
 from footrule.moments import (
-    cond_exp_abs_diff,
     limiting_variance,
     null_variance_exact,
 )
 from footrule.ranks import EXACT_MAX_N, enumerate_null_distribution
+from oracles import cond_exp_abs_diff
 
 
 class TestNullMoments:

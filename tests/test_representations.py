@@ -7,10 +7,9 @@ from footrule.common import SampleSizeError
 from footrule.representations import (
     UniformPairs,
     double_sum_representation,
-    hajek_projection_term,
     hajek_representation,
-    u_kernel,
 )
+from oracles import hajek_projection_term, u_kernel
 
 
 def double_sum_by_loops(u, v):

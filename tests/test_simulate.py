@@ -268,8 +268,8 @@ class TestCurveStudy:
             assert np.array_equal(row.cdf.grid, row.density.grid)
             ref_d = [normal_pdf(g, 0.0, 0.4) for g in row.density.grid]
             ref_c = [normal_cdf(g, 0.0, 0.4) for g in row.density.grid]
-            assert np.allclose(row.ref_density, ref_d)
-            assert np.allclose(row.ref_cdf, ref_c)
+            assert np.array_equal(row.ref_density, ref_d)
+            assert np.array_equal(row.ref_cdf, ref_c)
 
 
 def reference_footrule(x, y):

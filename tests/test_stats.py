@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from footrule import stats
 from footrule.common import (
     BadVarianceError,
     DegenerateSampleError,
+    NonFiniteError,
     SampleSizeError,
 )
 from footrule.stats import (
@@ -22,6 +28,17 @@ from footrule.stats import (
 )
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
+SRC = str(Path(stats.__file__).resolve().parents[1])
+
+
+def last_error_line(code):
+    """Last stderr line of `code` in a new interpreter; it must fail within 30 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=30)
+    assert run.returncode != 0, run.stdout
+    return run.stderr.strip().splitlines()[-1]
 
 
 def normal_cdf_oracle(x, mean=0.0, variance=1.0):
@@ -61,6 +78,32 @@ class TestNormalCdf:
             normal_pdf(0.0, 0.0, -1.0)
 
 
+class TestNormalArrays:
+    @pytest.mark.parametrize("fn", [normal_pdf, normal_cdf])
+    def test_array_matches_scalar_bit_for_bit(self, fn):
+        grid = np.linspace(-40.0, 40.0, 10_001)
+        for mean, variance in ((0.0, 0.4), (0.3, 1.0), (-2.0, 7.5)):
+            values = fn(grid, mean, variance)
+            scalars = [fn(x, mean, variance) for x in grid]
+            assert all(type(v) is float for v in scalars)
+            assert values.dtype == np.float64 and values.shape == grid.shape
+            assert np.array_equal(values.view(np.int64), np.array(scalars).view(np.int64))
+
+    @pytest.mark.parametrize("fn", [normal_pdf, normal_cdf])
+    def test_signed_zero_and_input_types(self, fn):
+        points = [0.0, -0.0, 1.5, -3.25]
+        scalars = [fn(x, 0.0, 0.4) for x in points]
+        numpy_scalars = [fn(np.float64(x), 0.0, 0.4) for x in points]
+        assert all(type(v) is float for v in scalars + numpy_scalars)
+        for array in (fn(points, 0.0, 0.4), fn(np.array(points), 0.0, 0.4)):
+            assert np.array_equal(array.view(np.int64), np.array(scalars).view(np.int64))
+            assert np.array_equal(array.view(np.int64), np.array(numpy_scalars).view(np.int64))
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            normal_cdf(np.zeros((2, 2)))
+
+
 class TestKolmogorovSf:
     def test_at_zero_clamped(self):
         assert kolmogorov_sf(0.0) == 1.0
@@ -87,6 +130,11 @@ class TestKolmogorovSf:
         with pytest.raises(ValueError):
             kolmogorov_sf(-0.1)
 
+    def test_nan_rejected_without_hanging(self):
+        line = last_error_line(
+            "from footrule.stats import kolmogorov_sf; kolmogorov_sf(float('nan'))")
+        assert line == "ValueError: lambda must be nonnegative, got nan"
+
 
 class TestKsOneSample:
     def test_equally_spaced_quantiles(self):
@@ -111,6 +159,16 @@ class TestKsOneSample:
     def test_too_few(self):
         with pytest.raises(SampleSizeError):
             ks_one_sample([0.5], lambda t: t)
+
+    def test_nan_sample_rejected_without_hanging(self):
+        line = last_error_line(
+            "from footrule.stats import ks_one_sample\n"
+            "ks_one_sample([float('nan'), 0.1, 0.3], lambda t: t)")
+        assert line == "footrule.common.NonFiniteError: KS samples must be finite"
+
+    def test_infinite_sample_rejected(self):
+        with pytest.raises(NonFiniteError):
+            ks_one_sample([0.1, math.inf], lambda t: min(1.0, max(0.0, t)))
 
 
 class TestKsTwoSample:
@@ -148,6 +206,14 @@ class TestKsTwoSample:
     def test_too_few(self):
         with pytest.raises(SampleSizeError):
             ks_two_sample([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("a, b", [
+        ([math.nan, 0.1, 0.3], [0.2, 0.4]),
+        ([0.1, 0.3], [0.2, -math.inf]),
+    ])
+    def test_non_finite_sample_rejected(self, a, b):
+        with pytest.raises(NonFiniteError):
+            ks_two_sample(a, b)
 
 
 class TestNullPValueCalibration:
