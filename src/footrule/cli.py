@@ -276,16 +276,18 @@ def _cmd_stat(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _out_path(out: str | None) -> Path | None:
+def _out_path(out: str | Path | None) -> Path | None:
     """The --out path, checked before the command's work starts.
 
-    A missing or unwritable directory fails at once instead of after a
-    whole study or exact-law build; `_write_csv` still reports any later
-    write error.
+    A path naming a directory, or a missing or unwritable directory,
+    fails at once instead of after a whole study or exact-law build;
+    `_write_csv` still reports any later write error.
     """
     if not out:
         return None
     path = Path(out)
+    if path.is_dir():
+        raise CliError(f"cannot write {path}: Is a directory")
     if not path.parent.is_dir():
         raise CliError(f"cannot write {path}: no directory {path.parent}")
     if not os.access(path.parent, os.W_OK | os.X_OK):
@@ -366,7 +368,7 @@ def _curve_block(entry: CurveRow, curve: CurveGrid, ref: np.ndarray) -> tuple:
 def _cmd_simulate_curves(args: argparse.Namespace) -> int:
     if not args.out:
         raise CliError("curves writes two files; --out is required")
-    density_path, cdf_path = _curve_paths(_out_path(args.out))
+    density_path, cdf_path = map(_out_path, _curve_paths(Path(args.out)))
     entries = run_curve_study(
         seed=args.seed,
         sample_sizes=_parse_n_list(args.n_list),

@@ -190,15 +190,6 @@ class ExactNullDistribution:
         """(distance, count) pairs in ascending distance order."""
         return iter(sorted(self.counts.items()))
 
-    def phi_moments_exact(self) -> tuple[Fraction, Fraction]:
-        """Exact (mean, variance) of the coefficient under the null."""
-        m = self.n * self.n - 1
-        mean_d = Fraction(sum(d * c for d, c in self.counts.items()), self.total)
-        mean_d2 = Fraction(sum(d * d * c for d, c in self.counts.items()), self.total)
-        mean = 1 - Fraction(3, m) * mean_d
-        var = Fraction(9, m * m) * (mean_d2 - mean_d * mean_d)
-        return mean, var
-
     def two_sided_p(self, distance: int) -> Fraction:
         """Exact P(|phi| >= |phi(distance)|) under the uniform null.
 

@@ -359,7 +359,7 @@ def run_ks_study(
         pools = _statistic_pools(seed, n, replications, threads)
         for left, right in KS_COMBINATIONS:
             if right == "normal":
-                outcome = ks_one_sample(pools[left], lambda t: normal_cdf(t, 0.0, var))
+                outcome = ks_one_sample(pools[left], lambda xs: normal_cdf(xs, 0.0, var))
             else:
                 outcome = ks_two_sample(pools[left], pools[right])
             rows.append(KsRow(n=n, combination=f"{left}-vs-{right}", outcome=outcome))

@@ -73,21 +73,14 @@ def normal_cdf(x: float | np.ndarray, mean: float = 0.0, variance: float = 1.0):
     """
     if not variance > 0.0:
         raise BadVarianceError(f"variance must be positive, got {variance}")
-    sd = math.sqrt(variance)
-    if isinstance(x, float):  # np.float64 included
-        return _cdf(x, mean, sd)
-    return _each(_cdf, x, mean, sd)
+    return _each(_cdf, x, mean, math.sqrt(variance))
 
 
 def normal_pdf(x: float | np.ndarray, mean: float = 0.0, variance: float = 1.0):
     """Density of Normal(mean, variance) at a float or a 1-D array."""
     if not variance > 0.0:
         raise BadVarianceError(f"variance must be positive, got {variance}")
-    two_var = 2.0 * variance
-    norm = math.sqrt(2.0 * math.pi * variance)
-    if isinstance(x, float):
-        return _pdf(x, mean, two_var, norm)
-    return _each(_pdf, x, mean, two_var, norm)
+    return _each(_pdf, x, mean, 2.0 * variance, math.sqrt(2.0 * math.pi * variance))
 
 
 def _cdf(t: float, mean: float, sd: float) -> float:
@@ -95,7 +88,10 @@ def _cdf(t: float, mean: float, sd: float) -> float:
 
 
 def _pdf(t: float, mean: float, two_var: float, norm: float) -> float:
-    return math.exp(-((t - mean) ** 2 / two_var)) / norm
+    try:
+        return math.exp(-((t - mean) ** 2 / two_var)) / norm
+    except OverflowError:  # a square past the float range: exp underflows for variance < 1e305
+        return 0.0
 
 
 def _each(f, x, *consts):
@@ -141,13 +137,16 @@ def ks_one_sample(samples, reference_cdf) -> KsOutcome:
     The statistic is the sup over sorted sample points of
     max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n); the p-value uses the
     asymptotic Kolmogorov survival function at sqrt(n) * statistic.
-    `reference_cdf` is called once per sample, on a Python float.
+    `reference_cdf` is called once, on the sorted sample as a 1-D float64
+    array, and must return one value per sample.
     """
     xs = np.sort(_finite(samples))
     n = len(xs)
     if n < 2:
         raise SampleSizeError("one-sample KS needs at least 2 points")
-    ref = np.fromiter(map(reference_cdf, xs.tolist()), dtype=float, count=n)
+    ref = np.asarray(reference_cdf(xs), dtype=float)
+    if ref.shape != xs.shape:
+        raise ValueError(f"reference_cdf must return {n} values, got shape {ref.shape}")
     i = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(i / n - ref)
     d_minus = np.max(ref - (i - 1) / n)
@@ -188,7 +187,7 @@ def ks_two_sample(a, b) -> KsOutcome:
 def _finite(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
     if not np.isfinite(x).all():
-        raise NonFiniteError("KS samples must be finite")
+        raise NonFiniteError("samples must be finite")
     return x
 
 
@@ -219,7 +218,7 @@ def gaussian_kde(samples, grid_size: int = 512) -> CurveGrid:
     The grid spans [min - 3b, max + 3b] with b the rule-of-thumb
     bandwidth, capturing over 99% of the smoothed mass.
     """
-    x = np.asarray(samples, dtype=float)
+    x = _finite(samples)
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     b = bandwidth(x)
@@ -252,7 +251,7 @@ def gaussian_kde(samples, grid_size: int = 512) -> CurveGrid:
 
 def ecdf_curve(samples, grid) -> CurveGrid:
     """Empirical CDF heights (#{x_i <= g})/n at each grid point."""
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.sort(_finite(samples))
     if len(x) < 1:
         raise SampleSizeError("ECDF needs at least 1 point")
     g = np.asarray(grid, dtype=float)

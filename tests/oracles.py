@@ -3,8 +3,12 @@
 `footrule.representations` evaluates the double-sum and projected forms
 on whole rows at once. These are the per-pair pieces those forms are
 built from, written out one value at a time so the tests can check the
-kernels and the uniform-integral constants against them.
+kernels and the uniform-integral constants against them. The exact
+moments of an exact null law check the closed-form variance and the
+simulated draws.
 """
+
+from fractions import Fraction
 
 
 def u_kernel(p1: tuple[float, float], p2: tuple[float, float]) -> float:
@@ -34,3 +38,13 @@ def cond_exp_abs_diff(u: float) -> float:
     if not 0.0 <= u <= 1.0:
         raise ValueError("u must lie in [0, 1]")
     return 0.5 - u * (1.0 - u)
+
+
+def phi_moments_exact(law) -> tuple[Fraction, Fraction]:
+    """Exact (mean, variance) of the coefficient under an `ExactNullDistribution`."""
+    m = law.n * law.n - 1
+    mean_d = Fraction(sum(d * c for d, c in law.counts.items()), law.total)
+    mean_d2 = Fraction(sum(d * d * c for d, c in law.counts.items()), law.total)
+    mean = 1 - Fraction(3, m) * mean_d
+    var = Fraction(9, m * m) * (mean_d2 - mean_d * mean_d)
+    return mean, var

@@ -29,7 +29,7 @@ from footrule.simulate import (
     run_moment_study,
 )
 from footrule.stats import ks_one_sample, normal_cdf, summarize
-from oracles import cond_exp_abs_diff
+from oracles import cond_exp_abs_diff, phi_moments_exact
 
 SEED = 42
 STATS = (Statistic.FOOTRULE, Statistic.DOUBLE_SUM, Statistic.HAJEK)
@@ -66,7 +66,7 @@ def test_criterion_1_exact_moment_oracle():
     worst = 0.0
     ok = True
     for n in range(2, 41):
-        mean, var = enumerate_null_distribution(n).phi_moments_exact()
+        mean, var = phi_moments_exact(enumerate_null_distribution(n))
         target = null_variance_exact(n, Statistic.FOOTRULE)
         gap = max(abs(float(mean)), abs(float(var - target)))
         worst = max(worst, gap)

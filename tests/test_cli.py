@@ -621,6 +621,45 @@ class TestSimulateCommands:
         assert capsys.readouterr().err.startswith("footrule: cannot write")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c_cdf.csv"]
 
+    def test_curves_cdf_failing_after_the_check_removes_density(self, tmp_path, monkeypatch,
+                                                                capsys):
+        study = cli.run_curve_study
+
+        def study_then_block_cdf(**kwargs):
+            (tmp_path / "c_cdf.csv").mkdir()
+            return study(**kwargs)
+
+        monkeypatch.setattr(cli, "run_curve_study", study_then_block_cdf)
+        assert main([
+            "simulate", "curves", "--n-list", "10", "--reps", "20",
+            "--grid-size", "16", "--out", str(tmp_path / "c"),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("footrule: cannot write")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c_cdf.csv"]
+
+    @pytest.mark.parametrize("name", ["c_density.csv", "c_cdf.csv"])
+    def test_curves_derived_path_naming_a_directory_exits_2_first(self, tmp_path, monkeypatch,
+                                                                  capsys, name):
+        def no_work(*args):
+            raise AssertionError("started the study before rejecting --out")
+
+        monkeypatch.setattr(simulate, "_draw_many", no_work)
+        (tmp_path / name).mkdir()
+        assert main([
+            "simulate", "curves", "--n-list", "10", "--reps", "20", "--out", str(tmp_path / "c"),
+        ]) == 2
+        assert capsys.readouterr() == ("", f"footrule: cannot write {tmp_path / name}: "
+                                           "Is a directory\n")
+
+    def test_curves_base_may_name_a_directory(self, tmp_path):
+        (tmp_path / "results").mkdir()
+        assert main([
+            "simulate", "curves", "--n-list", "10", "--reps", "20",
+            "--grid-size", "16", "--out", str(tmp_path / "results"),
+        ]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "results", "results_cdf.csv", "results_density.csv"]
+
     def test_curves_requires_out(self, capsys):
         assert main(["simulate", "curves", "--n-list", "10", "--reps", "50"]) == 2
 
@@ -660,11 +699,16 @@ class TestSimulateCommands:
      ["1.0,2.0"], 2),
     (["exact", "5", "--out", "{dir}/no/e.csv"], None, 2),
     (["stat", "{csv}", "--out", "{dir}/no/s.csv"], ["1.0,2.0", "2.0,3.0"], 2),
+    (["simulate", "moments", "--reps", "2000", "--n-list", "100", "--out", "{dir}"], None, 2),
+    (["simulate", "kstest", "--reps", "2", "--n-list", "10", "--out", "{dir}"], None, 2),
+    (["exact", "5", "--out", "{dir}"], None, 2),
+    (["stat", "{csv}", "--out", "{dir}"], ["1.0,2.0", "2.0,3.0"], 2),
 ], ids=["moments-reps", "kstest-reps", "curves-reps", "grid-size", "seed-negative",
         "seed-too-large", "threads-zero", "n-too-large", "nan-cell", "inf-cell", "inf-pair",
         "ties", "non-utf8", "oversized-field", "moments-out-missing-dir", "kstest-out-missing-dir",
         "curves-out-missing-dir", "moments-out-under-file", "exact-out-missing-dir",
-        "stat-out-missing-dir"])
+        "stat-out-missing-dir", "moments-out-is-dir", "kstest-out-is-dir", "exact-out-is-dir",
+        "stat-out-is-dir"])
 def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, lines, code):
     def no_work(*args):
         raise AssertionError("started the work before rejecting the input")

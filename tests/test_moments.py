@@ -10,7 +10,7 @@ from footrule.moments import (
     null_variance_exact,
 )
 from footrule.ranks import EXACT_MAX_N, enumerate_null_distribution
-from oracles import cond_exp_abs_diff
+from oracles import cond_exp_abs_diff, phi_moments_exact
 
 
 class TestNullMoments:
@@ -41,7 +41,7 @@ class TestNullMoments:
 
     @pytest.mark.parametrize("n", [*range(2, 41), EXACT_MAX_N])
     def test_enumeration_agrees_exactly(self, n):
-        mean, var = enumerate_null_distribution(n).phi_moments_exact()
+        mean, var = phi_moments_exact(enumerate_null_distribution(n))
         assert mean == 0
         assert var == null_variance_exact(n, Statistic.FOOTRULE)
 

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 import footrule
-from footrule import moments, representations
+from footrule import ExactNullDistribution, moments, representations
 
 ORACLE_NAMES = ("u_kernel", "hajek_projection_term", "cond_exp_abs_diff")
 
@@ -21,3 +21,7 @@ def test_all_lists_exactly_the_public_names():
 @pytest.mark.parametrize("name", ORACLE_NAMES)
 def test_oracles_are_not_exported(module, name):
     assert not hasattr(module, name)
+
+
+def test_exact_moments_are_a_test_oracle():
+    assert not hasattr(ExactNullDistribution, "phi_moments_exact")

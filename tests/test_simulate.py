@@ -40,6 +40,7 @@ from footrule.simulate import (
 )
 from footrule.stats import ks_one_sample, normal_cdf, normal_pdf, summarize
 from numpy_oracle import draw_value, lemire_uniforms, redraw_loop, uniform_open
+from oracles import phi_moments_exact
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -207,6 +208,19 @@ class TestKsStudy:
         values, _ = _draw_many(4, 10, Statistic.FOOTRULE, 1000, 1)
         values *= math.sqrt(10)
         assert len(set(values.tolist())) < 60  # the scaled statistic has few atoms
+
+    def test_one_normal_cdf_call_per_one_sample_test(self, monkeypatch):
+        calls = []
+
+        def spy(x, mean=0.0, variance=1.0):
+            calls.append(x)
+            return normal_cdf(x, mean, variance)
+
+        monkeypatch.setattr(simulate, "normal_cdf", spy)
+        run_ks_study(seed=1, sample_sizes=(10, 30), replications=50)
+        assert len(calls) == 6
+        for x in calls:
+            assert isinstance(x, np.ndarray) and x.dtype == np.float64 and x.shape == (50,)
 
     def test_double_sum_close_to_normal_even_at_n10(self):
         rows = run_ks_study(seed=42, sample_sizes=(10,), replications=1000)
@@ -499,6 +513,6 @@ class TestExactLawOracle:
         p = float(mpmath.gammainc(df / 2, g / 2, mpmath.inf, regularized=True))
         assert p > 1e-3, f"n={n}: G = {g:.1f} on {df} df, p = {p:.2e}"
 
-        _, variance = law.phi_moments_exact()
+        _, variance = phi_moments_exact(law)
         se = float(variance) * math.sqrt(2.0 / (self.REPS - 1))
         assert np.var(phi, ddof=1) == pytest.approx(float(variance), abs=4 * se)

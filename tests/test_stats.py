@@ -103,6 +103,14 @@ class TestNormalArrays:
         with pytest.raises(ValueError, match="1-D"):
             normal_cdf(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("x", [1e200, -1e200, 1e300, -1e300])
+    def test_far_tail_density_is_zero(self, x):
+        # (x - mean) ** 2 passes the float range here; the density is 0.0, not an error.
+        assert normal_pdf(x) == 0.0
+        assert normal_pdf(np.float64(x), 0.0, 0.4) == 0.0
+        assert normal_pdf(np.array([0.0, x]), 0.0, 0.4).tolist() == [normal_pdf(0.0, 0.0, 0.4), 0.0]
+        assert normal_cdf(np.array([x])).tolist() == [float(x > 0)]
+
 
 class TestKolmogorovSf:
     def test_at_zero_clamped(self):
@@ -153,22 +161,44 @@ class TestKsOneSample:
 
     def test_null_calibration(self):
         rng = np.random.default_rng(123)
-        out = ks_one_sample(rng.random(1000), lambda t: min(1.0, max(0.0, t)))
+        out = ks_one_sample(rng.random(1000), lambda t: np.clip(t, 0.0, 1.0))
         assert out.p_value > 0.001
 
     def test_too_few(self):
         with pytest.raises(SampleSizeError):
             ks_one_sample([0.5], lambda t: t)
 
+    def test_reference_called_once_on_sorted_sample(self):
+        calls = []
+
+        def reference(xs):
+            calls.append(xs.copy())
+            return np.clip(xs, 0.0, 1.0)
+
+        out = ks_one_sample([0.9, 0.1, 0.5, 0.3], reference)
+        assert len(calls) == 1
+        assert calls[0].dtype == np.float64 and calls[0].tolist() == [0.1, 0.3, 0.5, 0.9]
+        assert out.statistic == ks_one_sample([0.1, 0.3, 0.5, 0.9], lambda t: t).statistic
+
+    @pytest.mark.parametrize("reference", [
+        lambda xs: 0.5,
+        lambda xs: xs[:-1],
+        lambda xs: np.append(xs, 1.0),
+        lambda xs: xs[None, :],
+    ], ids=["scalar", "short", "long", "two-dimensional"])
+    def test_reference_must_return_one_value_per_sample(self, reference):
+        with pytest.raises(ValueError, match="reference_cdf must return 3 values"):
+            ks_one_sample([0.2, 0.4, 0.6], reference)
+
     def test_nan_sample_rejected_without_hanging(self):
         line = last_error_line(
             "from footrule.stats import ks_one_sample\n"
             "ks_one_sample([float('nan'), 0.1, 0.3], lambda t: t)")
-        assert line == "footrule.common.NonFiniteError: KS samples must be finite"
+        assert line == "footrule.common.NonFiniteError: samples must be finite"
 
     def test_infinite_sample_rejected(self):
         with pytest.raises(NonFiniteError):
-            ks_one_sample([0.1, math.inf], lambda t: min(1.0, max(0.0, t)))
+            ks_one_sample([0.1, math.inf], lambda t: np.clip(t, 0.0, 1.0))
 
 
 class TestKsTwoSample:
@@ -225,7 +255,7 @@ class TestNullPValueCalibration:
         low_one = low_two = 0
         for _ in range(runs):
             a = rng.random(1000)
-            if ks_one_sample(a, lambda t: min(1.0, max(0.0, t))).p_value < 0.05:
+            if ks_one_sample(a, lambda t: np.clip(t, 0.0, 1.0)).p_value < 0.05:
                 low_one += 1
             if ks_two_sample(a, rng.random(1000)).p_value < 0.05:
                 low_two += 1
@@ -271,6 +301,11 @@ class TestGaussianKde:
         with pytest.raises(DegenerateSampleError):
             gaussian_kde([2.0, 2.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(NonFiniteError, match="samples must be finite"):
+            gaussian_kde([bad, 1.0, 2.0], 8)
+
     # Partial last tiles (31, 33, 513 rows) and partial last chunks (4097, 9000).
     @pytest.mark.parametrize("grid_size", [2, 31, 33, 64, 513])
     @pytest.mark.parametrize("size", [2, 300, 4095, 4096, 4097, 9000])
@@ -307,6 +342,11 @@ class TestEcdfCurve:
     def test_interior_count(self):
         out = ecdf_curve([1.0, 2.0, 3.0, 4.0], [2.5])
         assert out.values[0] == 0.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(NonFiniteError, match="samples must be finite"):
+            ecdf_curve([bad, 1.0, 2.0], [0.0, 1.0])
 
 
 class TestSummarize:
