@@ -4,7 +4,7 @@ Library surface:
 
 - `ranks`: ranking, the coefficient, and its exact permutation null law
 - `representations`: the two uniform-variable stand-in statistics
-- `moments`: closed-form null moments and exact integral constants
+- `moments`: closed-form null moments and their 2/5 limit
 - `stats`: normal/Kolmogorov distributions, KS tests, KDE, ECDF, summaries
 - `simulate`: seeded, reproducible replication studies
 - `cli`: the `footrule` command

@@ -1,4 +1,4 @@
-"""Closed-form null moments and the exact uniform-integral constants.
+"""Closed-form null moments of the three statistics and their 2/5 limit.
 
 Every variance here is assembled from integer numerator/denominator
 pairs with a single float division at the end, so enumeration-based
@@ -10,17 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .common import SampleSizeError, Statistic
-
-
-# Moments of |U-V| and U(1-U) for independent U, V ~ Uniform(0,1).
-# COV_ABS_DIFF_U_ONE_MINUS_U couples |U1-V1| with U1(1-U1);
-# COV_ABS_DIFF_SHARED couples |U1-V1| with |U1-V2| (shared U1).
-E_ABS_DIFF = Fraction(1, 3)
-E_U_ONE_MINUS_U = Fraction(1, 6)
-VAR_ABS_DIFF = Fraction(1, 18)
-VAR_U_ONE_MINUS_U = Fraction(1, 180)
-COV_ABS_DIFF_U_ONE_MINUS_U = Fraction(-1, 180)
-COV_ABS_DIFF_SHARED = Fraction(1, 180)
 
 
 def null_variance_exact(n: int, kind: Statistic) -> Fraction:

@@ -15,9 +15,6 @@ import numpy as np
 
 from .common import BadVarianceError, DegenerateSampleError, NonFiniteError, SampleSizeError
 
-ONE_SAMPLE = "one-sample"
-TWO_SAMPLE = "two-sample"
-
 _ROOT2 = math.sqrt(2.0)
 _SERIES_EPS = 1e-16
 # Below this the alternating series needs millions of terms while the
@@ -33,8 +30,6 @@ _KDE_TILE_ROWS = 32
 class KsOutcome:
     statistic: float
     p_value: float
-    effective_n: float
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -45,7 +40,6 @@ class SummaryStats:
     ev: float
     bias: float
     rmse: float
-    count: int
 
 
 @dataclass(frozen=True)
@@ -138,7 +132,7 @@ def ks_one_sample(samples, reference_cdf) -> KsOutcome:
     max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n); the p-value uses the
     asymptotic Kolmogorov survival function at sqrt(n) * statistic.
     `reference_cdf` is called once, on the sorted sample as a 1-D float64
-    array, and must return one value per sample.
+    array, and must return one value in [0, 1] per sample.
     """
     xs = np.sort(_finite(samples))
     n = len(xs)
@@ -147,23 +141,21 @@ def ks_one_sample(samples, reference_cdf) -> KsOutcome:
     ref = np.asarray(reference_cdf(xs), dtype=float)
     if ref.shape != xs.shape:
         raise ValueError(f"reference_cdf must return {n} values, got shape {ref.shape}")
+    if not ((ref >= 0.0) & (ref <= 1.0)).all():
+        raise ValueError("reference_cdf must return values in [0, 1]")
     i = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(i / n - ref)
     d_minus = np.max(ref - (i - 1) / n)
     stat = float(max(d_plus, d_minus))
-    return KsOutcome(
-        statistic=stat,
-        p_value=kolmogorov_sf(math.sqrt(n) * stat),
-        effective_n=float(n),
-        mode=ONE_SAMPLE,
-    )
+    return KsOutcome(statistic=stat, p_value=kolmogorov_sf(math.sqrt(n) * stat))
 
 
 def ks_two_sample(a, b) -> KsOutcome:
-    """Two-sample KS test: sup ECDF gap over the merged sample.
+    """Two-sample KS test: sup ECDF gap over the pooled points.
 
-    effective_n is m*n/(m+n); the p-value is asymptotic as in the
-    one-sample case.
+    The p-value is asymptotic as in the one-sample case, with effective
+    size m*n/(m+n). The gap is a max over points, so the pooled points
+    need no sorting.
     """
     xa = np.sort(_finite(a))
     xb = np.sort(_finite(b))
@@ -171,17 +163,10 @@ def ks_two_sample(a, b) -> KsOutcome:
     if m < 2 or n < 2:
         raise SampleSizeError("two-sample KS needs at least 2 points per sample")
     merged = np.concatenate([xa, xb])
-    merged.sort(kind="mergesort")
     cdf_a = np.searchsorted(xa, merged, side="right") / m
     cdf_b = np.searchsorted(xb, merged, side="right") / n
     stat = float(np.max(np.abs(cdf_a - cdf_b)))
-    eff = m * n / (m + n)
-    return KsOutcome(
-        statistic=stat,
-        p_value=kolmogorov_sf(math.sqrt(eff) * stat),
-        effective_n=eff,
-        mode=TWO_SAMPLE,
-    )
+    return KsOutcome(statistic=stat, p_value=kolmogorov_sf(math.sqrt(m * n / (m + n)) * stat))
 
 
 def _finite(samples) -> np.ndarray:
@@ -198,7 +183,7 @@ def bandwidth(samples) -> float:
     the n-1 divisor, quartiles use linear interpolation, and a zero IQR
     falls back to the standard deviation.
     """
-    x = np.asarray(samples, dtype=float)
+    x = _finite(samples)
     n = len(x)
     if n < 2:
         raise SampleSizeError("bandwidth needs at least 2 points")
@@ -270,4 +255,4 @@ def summarize(estimates, true_value: float) -> SummaryStats:
     ev = float(np.sum(dev * dev)) / (m - 1)
     err = e - true_value
     rmse = math.sqrt(float(np.sum(err * err)) / m)
-    return SummaryStats(em=em, ev=ev, bias=em - true_value, rmse=rmse, count=m)
+    return SummaryStats(em=em, ev=ev, bias=em - true_value, rmse=rmse)

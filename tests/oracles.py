@@ -3,12 +3,22 @@
 `footrule.representations` evaluates the double-sum and projected forms
 on whole rows at once. These are the per-pair pieces those forms are
 built from, written out one value at a time so the tests can check the
-kernels and the uniform-integral constants against them. The exact
-moments of an exact null law check the closed-form variance and the
-simulated draws.
+kernels against them, and the exact uniform integrals the closed-form
+variances are built from. The exact moments of an exact null law check
+the closed-form variance and the simulated draws.
 """
 
 from fractions import Fraction
+
+# Moments of |U-V| and U(1-U) for independent U, V ~ Uniform(0,1).
+# COV_ABS_DIFF_U_ONE_MINUS_U couples |U1-V1| with U1(1-U1);
+# COV_ABS_DIFF_SHARED couples |U1-V1| with |U1-V2| (shared U1).
+E_ABS_DIFF = Fraction(1, 3)
+E_U_ONE_MINUS_U = Fraction(1, 6)
+VAR_ABS_DIFF = Fraction(1, 18)
+VAR_U_ONE_MINUS_U = Fraction(1, 180)
+COV_ABS_DIFF_U_ONE_MINUS_U = Fraction(-1, 180)
+COV_ABS_DIFF_SHARED = Fraction(1, 180)
 
 
 def u_kernel(p1: tuple[float, float], p2: tuple[float, float]) -> float:

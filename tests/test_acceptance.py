@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from footrule import moments
 from footrule.cli import main
 from footrule.common import Statistic
 from footrule.moments import null_variance_exact
@@ -29,7 +28,16 @@ from footrule.simulate import (
     run_moment_study,
 )
 from footrule.stats import ks_one_sample, normal_cdf, summarize
-from oracles import cond_exp_abs_diff, phi_moments_exact
+from oracles import (
+    COV_ABS_DIFF_SHARED,
+    COV_ABS_DIFF_U_ONE_MINUS_U,
+    E_ABS_DIFF,
+    E_U_ONE_MINUS_U,
+    VAR_ABS_DIFF,
+    VAR_U_ONE_MINUS_U,
+    cond_exp_abs_diff,
+    phi_moments_exact,
+)
 
 SEED = 42
 STATS = (Statistic.FOOTRULE, Statistic.DOUBLE_SUM, Statistic.HAJEK)
@@ -213,15 +221,15 @@ def test_criterion_8_uniform_integral_constants():
     def within(name, estimate, target, se):
         checks.append((name, abs(estimate - float(target)) <= 4.0 * se))
 
-    within("E|U-V|", a.mean(), moments.E_ABS_DIFF, a.std(ddof=1) / math.sqrt(big))
-    within("E U(1-U)", b.mean(), moments.E_U_ONE_MINUS_U, b.std(ddof=1) / math.sqrt(big))
-    within("Var|U-V|", np.var(a, ddof=1), moments.VAR_ABS_DIFF, variance_estimator_se(a))
-    within("Var U(1-U)", np.var(b, ddof=1), moments.VAR_U_ONE_MINUS_U,
+    within("E|U-V|", a.mean(), E_ABS_DIFF, a.std(ddof=1) / math.sqrt(big))
+    within("E U(1-U)", b.mean(), E_U_ONE_MINUS_U, b.std(ddof=1) / math.sqrt(big))
+    within("Var|U-V|", np.var(a, ddof=1), VAR_ABS_DIFF, variance_estimator_se(a))
+    within("Var U(1-U)", np.var(b, ddof=1), VAR_U_ONE_MINUS_U,
            variance_estimator_se(b))
     cov_ab, se_ab = covariance_and_se(a, b)
-    within("Cov(|U-V|,U(1-U))", cov_ab, moments.COV_ABS_DIFF_U_ONE_MINUS_U, se_ab)
+    within("Cov(|U-V|,U(1-U))", cov_ab, COV_ABS_DIFF_U_ONE_MINUS_U, se_ab)
     cov_shared, se_shared = covariance_and_se(a, a_shared)
-    within("Cov shared U", cov_shared, moments.COV_ABS_DIFF_SHARED, se_shared)
+    within("Cov shared U", cov_shared, COV_ABS_DIFF_SHARED, se_shared)
 
     cond_uniforms = np.split(_stream_uniforms(SEED, 1, 0, 900_000), 9)
     for u0, uniforms in zip([round(0.1 * k, 1) for k in range(1, 10)], cond_uniforms):

@@ -781,6 +781,24 @@ class TestTableReproduction:
 
 @pytest.mark.xfail(
     strict=True,
+    reason="2 * (1 - Phi(|z|)) rounds the upper tail to 0 once Phi(|z|) rounds to 1; "
+    "2 * Phi(-|z|) keeps it, but moves the bits of most Normal p-values and with "
+    "them the recorded stat digests",
+)
+def test_normal_p_value_keeps_the_far_tail(tmp_path, capsys):
+    # n = 30 in perfect agreement: z = sqrt(75) and p = 2 * Phi(-sqrt(75)) = 4.707e-18
+    data = tmp_path / "monotone.csv"
+    write_lines(data, [f"{i}.0,{i}.0" for i in range(1, 31)])
+    assert main(["stat", str(data), "--full-precision"]) == 0
+    [line] = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("p-value")]
+    p = float(line.split()[1])
+    assert p > 0.0
+    assert p == pytest.approx(4.70714059014038642e-18, rel=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True,
     reason="unattainable as stated: at n=10 the statistic's lattice has no atom "
     "near zero (the displacement sum is always even while n^2-1 is odd), so the "
     "inclusive exact tail exceeds the limiting-variance normal tail by up to "

@@ -3,14 +3,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from footrule import moments
 from footrule.common import SampleSizeError, Statistic
 from footrule.moments import (
     limiting_variance,
     null_variance_exact,
 )
 from footrule.ranks import EXACT_MAX_N, enumerate_null_distribution
-from oracles import cond_exp_abs_diff, phi_moments_exact
+from oracles import (
+    COV_ABS_DIFF_SHARED,
+    COV_ABS_DIFF_U_ONE_MINUS_U,
+    E_ABS_DIFF,
+    E_U_ONE_MINUS_U,
+    VAR_ABS_DIFF,
+    VAR_U_ONE_MINUS_U,
+    cond_exp_abs_diff,
+    phi_moments_exact,
+)
 
 
 class TestNullMoments:
@@ -84,20 +92,20 @@ class TestCondExpAbsDiff:
 
 class TestUniformConstants:
     def test_exact_rationals(self):
-        assert moments.E_ABS_DIFF == Fraction(1, 3)
-        assert moments.E_U_ONE_MINUS_U == Fraction(1, 6)
-        assert moments.VAR_ABS_DIFF == Fraction(1, 18)
-        assert moments.VAR_U_ONE_MINUS_U == Fraction(1, 180)
-        assert moments.COV_ABS_DIFF_U_ONE_MINUS_U == Fraction(-1, 180)
-        assert moments.COV_ABS_DIFF_SHARED == Fraction(1, 180)
+        assert E_ABS_DIFF == Fraction(1, 3)
+        assert E_U_ONE_MINUS_U == Fraction(1, 6)
+        assert VAR_ABS_DIFF == Fraction(1, 18)
+        assert VAR_U_ONE_MINUS_U == Fraction(1, 180)
+        assert COV_ABS_DIFF_U_ONE_MINUS_U == Fraction(-1, 180)
+        assert COV_ABS_DIFF_SHARED == Fraction(1, 180)
 
     def test_variance_formulas_rebuild_from_constants(self):
         # Var of one projected-form summand is 1/18 + 2/180 - 4/180 = 2/45,
         # which scaled by (3/(n+1))^2 * n reproduces the closed form.
         per_term = (
-            moments.VAR_ABS_DIFF
-            + 2 * moments.VAR_U_ONE_MINUS_U
-            + 4 * moments.COV_ABS_DIFF_U_ONE_MINUS_U
+            VAR_ABS_DIFF
+            + 2 * VAR_U_ONE_MINUS_U
+            + 4 * COV_ABS_DIFF_U_ONE_MINUS_U
         )
         assert per_term == Fraction(2, 45)
         for n in (1, 5, 50):

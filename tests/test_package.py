@@ -7,7 +7,11 @@ import pytest
 import footrule
 from footrule import ExactNullDistribution, moments, representations
 
-ORACLE_NAMES = ("u_kernel", "hajek_projection_term", "cond_exp_abs_diff")
+ORACLE_NAMES = (
+    "u_kernel", "hajek_projection_term", "cond_exp_abs_diff",
+    "E_ABS_DIFF", "E_U_ONE_MINUS_U", "VAR_ABS_DIFF", "VAR_U_ONE_MINUS_U",
+    "COV_ABS_DIFF_U_ONE_MINUS_U", "COV_ABS_DIFF_SHARED",
+)
 
 
 def test_all_lists_exactly_the_public_names():

@@ -38,7 +38,7 @@ from footrule.simulate import (
     run_ks_study,
     run_moment_study,
 )
-from footrule.stats import ks_one_sample, normal_cdf, normal_pdf, summarize
+from footrule.stats import ks_one_sample, ks_two_sample, normal_cdf, normal_pdf, summarize
 from numpy_oracle import draw_value, lemire_uniforms, redraw_loop, uniform_open
 from oracles import phi_moments_exact
 
@@ -145,7 +145,9 @@ class TestMomentStudy:
         assert [(row.statistic, row.n) for row in rows] == [
             (stat, n) for stat in Statistic for n in (5, 9)
         ]
-        assert all(row.summary.count == 3 for row in rows)
+        for row in rows:
+            values, _ = _draw_many(1, row.n, row.statistic, 3, 1)
+            assert row.summary == summarize(values, 0.0)
         assert all(row.redraws == 0 for row in rows)
 
     @pytest.mark.parametrize("stat", list(Statistic), ids=lambda s: s.value)
@@ -188,13 +190,20 @@ class TestKsStudy:
         assert len(rows) == 12
         labels = [row.combination for row in rows[:6]]
         assert labels == [f"{a}-vs-{b}" for a, b in KS_COMBINATIONS]
+        pools = {
+            (stat.value, n): _draw_many(3, n, stat, 80, 1)[0] * math.sqrt(n)
+            for stat in Statistic for n in (10, 20)
+        }
         for row in rows:
             assert 0.0 <= row.outcome.statistic <= 1.0
             assert 0.0 <= row.outcome.p_value <= 1.0
-            expected_mode = (
-                "one-sample" if row.combination.endswith("-vs-normal") else "two-sample"
-            )
-            assert row.outcome.mode == expected_mode
+            left, right = row.combination.split("-vs-")
+            if right == "normal":
+                expected = ks_one_sample(pools[left, row.n],
+                                         lambda xs: normal_cdf(xs, 0.0, 0.4))
+            else:
+                expected = ks_two_sample(pools[left, row.n], pools[right, row.n])
+            assert row.outcome == expected
 
     def test_pools_reused_across_combinations(self):
         # phi-vs-phiprime and phi-vs-phidprime must see the same phi pool:
@@ -400,6 +409,25 @@ class TestBatchedEngine:
         assert redrawn == [5]
         assert redraws == 1
         assert values.tolist() == [value for value, _ in expected]
+
+    def test_cli_notes_tie_redraws(self, monkeypatch, capsys, tmp_path):
+        head = self._head(5, 5, _block(Statistic.FOOTRULE, 9))
+        self._force(monkeypatch, 5, {1: head[0]})
+        out = tmp_path / "moments.csv"
+        assert main(["simulate", "moments", "--seed", "5", "--n-list", "9",
+                     "--reps", "8", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "note: 1 tie redraws at n=9 for phi\n")
+
+    def test_cli_exits_3_when_redraws_run_out(self, monkeypatch, capsys):
+        # with no redraws left, the tied replication 5 raises TiesError
+        head = self._head(5, 5, _block(Statistic.FOOTRULE, 9))
+        self._force(monkeypatch, 5, {1: head[0]})
+        monkeypatch.setattr(simulate, "_MAX_REDRAWS", 0)
+        code = main(["simulate", "moments", "--seed", "5", "--n-list", "9", "--reps", "8"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err == "footrule: stream (5, 5) tied on 1 draws in a row\n"
 
     @settings(max_examples=80, deadline=None)
     @given(

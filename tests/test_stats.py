@@ -150,8 +150,7 @@ class TestKsOneSample:
             samples = [(i - 0.5) / n for i in range(1, n + 1)]
             out = ks_one_sample(samples, lambda t: t)
             assert out.statistic == pytest.approx(0.5 / n, abs=1e-15)
-            assert out.effective_n == n
-            assert out.mode == "one-sample"
+            assert out.p_value == kolmogorov_sf(math.sqrt(n) * out.statistic)
 
     def test_mass_displacement(self):
         samples = np.linspace(-30.0, -20.0, 50)
@@ -190,6 +189,11 @@ class TestKsOneSample:
         with pytest.raises(ValueError, match="reference_cdf must return 3 values"):
             ks_one_sample([0.2, 0.4, 0.6], reference)
 
+    @pytest.mark.parametrize("bad", [math.nan, 2.0, -0.1])
+    def test_reference_values_must_lie_in_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"reference_cdf must return values in \[0, 1\]"):
+            ks_one_sample([0.2, 0.4, 0.6], lambda xs: np.array([0.2, bad, 0.6]))
+
     def test_nan_sample_rejected_without_hanging(self):
         line = last_error_line(
             "from footrule.stats import ks_one_sample\n"
@@ -214,8 +218,7 @@ class TestKsTwoSample:
     def test_hand_traced_gap(self):
         out = ks_two_sample([1.0, 2.0], [1.5, 2.5])
         assert out.statistic == 0.5
-        assert out.effective_n == 1.0
-        assert out.mode == "two-sample"
+        assert out.p_value == kolmogorov_sf(math.sqrt(2 * 2 / (2 + 2)) * out.statistic)
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(42)
@@ -223,7 +226,7 @@ class TestKsTwoSample:
         left, right = ks_two_sample(a, b), ks_two_sample(b, a)
         assert left.statistic == right.statistic
         assert left.p_value == right.p_value
-        assert left.effective_n == right.effective_n
+        assert left.p_value == kolmogorov_sf(math.sqrt(40 * 25 / (40 + 25)) * left.statistic)
 
     def test_invariant_under_common_monotone_map(self):
         rng = np.random.default_rng(43)
@@ -322,6 +325,16 @@ class TestGaussianKde:
         iqr = np.percentile(x, 75) - np.percentile(x, 25)
         assert bandwidth(x) == pytest.approx(0.9 * min(sd, iqr / 1.34) * 5 ** (-0.2))
 
+    def test_bandwidth_zero_iqr_falls_back_to_sd(self):
+        x = [0.0] * 10 + [1.0]
+        assert bandwidth(x) == 0.9 * float(np.std(x, ddof=1)) * 11 ** (-0.2)
+        assert bandwidth(x) == 0.16798388839026906
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_bandwidth_rejects_non_finite_samples(self, bad):
+        with pytest.raises(NonFiniteError, match="samples must be finite"):
+            bandwidth([bad, 1.0, 2.0])
+
     def test_grid_spans_three_bandwidths(self):
         x = [0.0, 1.0, 3.0]
         b = bandwidth(x)
@@ -343,6 +356,12 @@ class TestEcdfCurve:
         out = ecdf_curve([1.0, 2.0, 3.0, 4.0], [2.5])
         assert out.values[0] == 0.5
 
+    @pytest.mark.parametrize("grid", [[1.0, 0.0], [[0.0, 1.0]], [0.0, math.nan]],
+                             ids=["decreasing", "two-dimensional", "nan"])
+    def test_bad_grid_rejected(self, grid):
+        with pytest.raises(ValueError):
+            ecdf_curve([1.0, 2.0], grid)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, bad):
         with pytest.raises(NonFiniteError, match="samples must be finite"):
@@ -353,7 +372,6 @@ class TestSummarize:
     def test_constant_input(self):
         out = summarize([1.0, 1.0, 1.0], 0.0)
         assert (out.em, out.ev, out.bias, out.rmse) == (1.0, 0.0, 1.0, 1.0)
-        assert out.count == 3
 
     def test_hand_computation(self):
         out = summarize([0.0, 2.0], 0.0)
@@ -373,8 +391,9 @@ class TestSummarize:
         for _ in range(20):
             vals = rng.normal(loc=0.2, scale=0.5, size=rng.integers(2, 500))
             out = summarize(vals, 0.1)
+            m = len(vals)
             lhs = out.rmse**2
-            rhs = out.bias**2 + out.ev * (out.count - 1) / out.count
+            rhs = out.bias**2 + out.ev * (m - 1) / m
             assert abs(lhs - rhs) <= 8 * math.ulp(max(lhs, rhs))
 
     def test_too_few(self):
