@@ -398,10 +398,10 @@ def _add_simulate_common(parser: argparse.ArgumentParser, default_reps: int,
                         help="comma-separated sample sizes")
     parser.add_argument("--out", help=out_help)
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads across batches of about 2^17 random "
-                             "words; a study with one batch per (statistic, n) "
-                             "runs inline; capped at the CPU count. Never "
-                             "changes output bytes (default 1)")
+                        help="worker threads across batches of about 2^15 random "
+                             "words, each batch holding all three statistics of "
+                             "one n; an n with one batch runs inline; capped at "
+                             "the CPU count. Never changes output bytes (default 1)")
     parser.add_argument("--full-precision", action="store_true",
                         help="emit shortest round-trip decimals instead of 5 places")
 

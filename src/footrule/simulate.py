@@ -9,8 +9,9 @@ execution order or worker count.
 The engine computes those streams itself: Philox4x64-10 (Salmon et al.,
 SC'11) over uint64 arrays of replications, then the 64-bit multiply step
 of Lemire's bounded-integer method, giving the values numpy's
-``Generator.integers(1, 2**53)`` gives on the same key and counter. The
-statistics are then evaluated on whole (replications, n) batches. A row
+``Generator.integers(1, 2**53)`` gives on the same key and counter. One
+pass draws the blocks of all three statistics at one n, and each
+statistic is then evaluated on its (replications, 2n) slice. A row
 where numpy would have rejected a word and drawn again, or where the
 rank statistic meets a tie, is read again alone from the same words:
 rejected words are skipped and a tie moves on to the next 2n uniforms.
@@ -50,16 +51,19 @@ log = logging.getLogger(__name__)
 _UNIT = 1 << 53
 _MAX_REDRAWS = 100
 
-# Philox4x64-10 multipliers and Weyl key increments, as in numpy's Philox.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox4x64-10 multipliers and Weyl key increments, as in numpy's Philox,
+# shaped to broadcast over the two stacked lanes of a (2, rows, columns) array.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 _PHILOX_ROUNDS = 10
 _LOW32 = 0xFFFFFFFF
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> 32
 # integers(1, 2**53) maps a word m to the high word of m * (2^53 - 1), and
 # draws again when the low word is below (2^64 - 2^53 + 1) mod (2^53 - 1).
 _LEMIRE_THRESHOLD = 2048
-# Words generated per batch; bounds peak memory whatever the study size.
-_CHUNK_WORDS = 1 << 17
+# Words generated per batch, over all three statistics; bounds peak memory
+# whatever the study size.
+_CHUNK_WORDS = 1 << 15
 
 # The six distribution comparisons of the KS study, in report order.
 KS_COMBINATIONS: tuple[tuple[str, str], ...] = (
@@ -113,64 +117,82 @@ def _block(statistic: Statistic, n: int) -> int:
     return ((_STAT_INDEX[statistic] + 1) << 32) | n
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a * b, from 32-bit halves.
+def _philox_words(seed: int, reps: np.ndarray, blocks: tuple[int, ...],
+                  count: int) -> np.ndarray:
+    """The first `count` words of each stream (seed, rep) in each counter block.
 
-    Updates in place where it can: on a full chunk's arrays that saves
-    about a fifth of the time fresh temporaries take.
+    Entry [i, b] equals ``np.random.Philox(key=[seed, reps[i]], counter=[0,
+    0, 0, blocks[b]]).random_raw(count)``: the counter is incremented before
+    each group of four words, so word k is lane k % 4 of Philox4x64-10
+    applied to counter [k // 4 + 1, 0, 0, block] under key [seed, rep].
+
+    All blocks run in one pass. Lanes c0 and c2 sit stacked in one
+    (2, rows, columns) array and c1 and c3 in another, so each round is
+    one multiply over both lanes, written into buffers allocated once.
     """
-    a_lo, a_hi = np.uint64(a & _LOW32), np.uint64(a >> 32)
-    b_lo, hi = b & _LOW32, b >> 32
-    mid = hi * a_lo
-    mid += (b_lo * a_lo) >> 32
-    b_lo *= a_hi
-    b_lo += mid & _LOW32
-    hi *= a_hi
-    hi += mid >> 32
-    hi += b_lo >> 32
-    return hi, b * np.uint64(a)
-
-
-def _philox_words(seed: int, reps: np.ndarray, block: int, count: int) -> np.ndarray:
-    """The first `count` words of each stream (seed, rep) in one counter block.
-
-    Row i equals ``np.random.Philox(key=[seed, reps[i]], counter=[0, 0, 0,
-    block]).random_raw(count)``: the counter is incremented before each
-    group of four words, so word k is lane k % 4 of Philox4x64-10 applied
-    to counter [k // 4 + 1, 0, 0, block] under key [seed, rep].
-    """
-    m0, m1 = _PHILOX_M
-    w0, w1 = (np.uint64(w) for w in _PHILOX_W)
-    c0 = np.arange(1, -(-count // 4) + 1, dtype=np.uint64)
-    c1 = c2 = np.zeros(1, dtype=np.uint64)
-    c3 = np.full(1, block, dtype=np.uint64)
-    k0 = np.full(1, seed, dtype=np.uint64)
-    k1 = np.asarray(reps, dtype=np.uint64)[:, np.newaxis]
+    groups = -(-count // 4)
+    shape = (2, len(reps), len(blocks) * groups)
+    even = np.zeros(shape, dtype=np.uint64)  # lanes c0, c2
+    odd = np.zeros(shape, dtype=np.uint64)   # lanes c1, c3
+    even[0] = np.tile(np.arange(1, groups + 1, dtype=np.uint64), len(blocks))
+    odd[1] = np.repeat(np.array(blocks, dtype=np.uint64), groups)
+    hi, b_lo, mid, tmp = (np.empty(shape, dtype=np.uint64) for _ in range(4))
+    # An array, not scalars: uint64 arrays wrap silently, scalars warn.
+    key = np.empty((2, len(reps), 1), dtype=np.uint64)
+    key[0] = seed
+    key[1, :, 0] = reps
     for r in range(_PHILOX_ROUNDS):
         if r:
-            k0, k1 = k0 + w0, k1 + w1
-        hi0, lo0 = _mulhilo(m0, c0)
-        hi1, lo1 = _mulhilo(m1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(len(reps), -1)
-    return words[:, :count]
+            key += _PHILOX_W
+        # hi = the high words of the 128-bit products _PHILOX_M * even, from
+        # 32-bit halves; the low words overwrite even.
+        np.bitwise_and(even, _LOW32, out=b_lo)
+        np.right_shift(even, 32, out=hi)
+        np.multiply(hi, _PHILOX_M_LO, out=mid)
+        np.multiply(b_lo, _PHILOX_M_LO, out=tmp)
+        tmp >>= 32
+        mid += tmp
+        b_lo *= _PHILOX_M_HI
+        np.bitwise_and(mid, _LOW32, out=tmp)
+        b_lo += tmp
+        hi *= _PHILOX_M_HI
+        mid >>= 32
+        hi += mid
+        b_lo >>= 32
+        hi += b_lo
+        even *= _PHILOX_M
+        # c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        odd ^= hi[::-1]
+        odd ^= key
+        even, odd = odd, even[::-1]
+    # Freed before the output exists: a worker thread's peak stays resident
+    # in its allocator arena.
+    del hi, b_lo, mid, tmp
+    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
+    return words.reshape(len(reps), len(blocks), 4 * groups)[..., :count]
 
 
 def _uniform_rows(
-    seed: int, reps: np.ndarray, block: int, count: int
+    seed: int, reps: np.ndarray, blocks: tuple[int, ...], count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniforms from the first `count` words of each stream, and which numpy rejects.
+    """Uniforms from the first `count` words of each stream and block, and which numpy rejects.
 
     m * (2^53 - 1) = m * 2^53 - m, so the bounded integer is m >> 11 less
     a borrow, plus the offset 1, and the low word is (m << 53) - m. numpy
     skips a word whose low word is below the threshold (probability
     about 2^-53) and reads the next one.
     """
-    m = _philox_words(seed, reps, block, count)
-    shifted = m << 53
-    borrow = shifted < m
-    rejected = shifted - m < _LEMIRE_THRESHOLD
-    return ((m >> 11) + 1 - borrow) / float(_UNIT), rejected
+    m = _philox_words(seed, reps, blocks, count)
+    # m is this call's own array: the bounded integer is formed in place.
+    low = m << 53
+    borrow = low < m
+    low -= m
+    rejected = low < _LEMIRE_THRESHOLD
+    del low
+    m >>= 11
+    m += 1
+    m -= borrow
+    return m / float(_UNIT), rejected
 
 
 def _stream_uniforms(seed: int, rep: int, block: int, count: int) -> np.ndarray:
@@ -182,8 +204,8 @@ def _stream_uniforms(seed: int, rep: int, block: int, count: int) -> np.ndarray:
     """
     words = count
     while True:
-        vec, rejected = _uniform_rows(seed, np.array([rep], dtype=np.uint64), block, words)
-        accepted = vec[~rejected]
+        vec, rejected = _uniform_rows(seed, np.array([rep], dtype=np.uint64), (block,), words)
+        accepted = vec[0, 0][~rejected[0, 0]]
         if len(accepted) >= count:
             return accepted[:count]
         words += count - len(accepted)
@@ -217,50 +239,55 @@ def _redraw_row(seed: int, rep: int, n: int, statistic: Statistic) -> tuple[floa
     raise TiesError(f"stream ({seed}, {rep}) tied on {_MAX_REDRAWS + 1} draws in a row")
 
 
-def _draw_chunk(seed: int, n: int, statistic: Statistic,
-                lo: int, hi: int) -> tuple[np.ndarray, int]:
-    """Values of replications lo..hi-1, and their tie redraws."""
-    vec, rejected = _uniform_rows(
-        seed, np.arange(lo, hi, dtype=np.uint64), _block(statistic, n), 2 * n
-    )
-    values, redo = _statistic_rows(vec, n, statistic)
-    redo |= rejected.any(axis=-1)
-    redraws = 0
-    for row in np.flatnonzero(redo):
-        values[row], extra = _redraw_row(seed, lo + int(row), n, statistic)
-        redraws += extra
-    return values, redraws
+def _draw_chunk(seed: int, n: int, lo: int, hi: int, values: np.ndarray) -> list[int]:
+    """Write replications lo..hi-1 of each statistic into its row of
+    `values`, from one Philox pass; return each statistic's tie redraws."""
+    vec, rejected = _uniform_rows(seed, np.arange(lo, hi, dtype=np.uint64),
+                                  tuple(_block(stat, n) for stat in Statistic), 2 * n)
+    rejected = rejected.any(axis=-1)
+    redraws = [0] * len(Statistic)
+    for i, stat in enumerate(Statistic):
+        values[i, lo:hi], tied = _statistic_rows(vec[:, i], n, stat)
+        for row in np.flatnonzero(tied | rejected[:, i]):
+            values[i, lo + row], extra = _redraw_row(seed, lo + int(row), n, stat)
+            redraws[i] += extra
+    return redraws
 
 
-def _draw_many(
+def _draw_statistics(
     seed: int,
     n: int,
-    statistic: Statistic,
     replications: int,
     threads: int,
-) -> tuple[np.ndarray, int]:
-    """All replication values, stream_id = replication index.
+) -> dict[Statistic, tuple[np.ndarray, int]]:
+    """Each statistic's replication values at n, and its tie redraws.
 
-    Replications are drawn in chunks of about _CHUNK_WORDS words. With
-    several chunks and threads, chunks run on a pool of at most
+    stream_id = replication index. Replications are drawn in chunks of
+    about _CHUNK_WORDS words, counting the 2n words of all three
+    statistics, so one Philox pass serves every statistic of a chunk.
+    With several chunks and threads, chunks run on one pool of at most
     os.cpu_count() threads (numpy releases the GIL on large arrays; more
     threads only add start-up cost); each value is written to its own
     slot, so output is identical for any thread count.
     """
-    values = np.empty(replications, dtype=float)
-    step = max(1, _CHUNK_WORDS // (2 * n))
+    values = np.empty((len(Statistic), replications), dtype=float)
+    step = max(1, _CHUNK_WORDS // (2 * n * len(Statistic)))
     starts = range(0, replications, step)
 
-    def fill(lo: int) -> int:
-        hi = min(lo + step, replications)
-        values[lo:hi], redraws = _draw_chunk(seed, n, statistic, lo, hi)
-        return redraws
+    def fill(lo: int) -> list[int]:
+        return _draw_chunk(seed, n, lo, min(lo + step, replications), values)
 
-    workers = min(threads, len(starts), os.cpu_count() or 1)
-    if workers <= 1:
-        return values, sum(map(fill, starts))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return values, sum(pool.map(fill, starts))
+    # The CPU count is read only where a pool could start.
+    workers = 1
+    if threads > 1 and len(starts) > 1:
+        workers = min(threads, len(starts), os.cpu_count() or 1)
+    if workers == 1:
+        totals = list(map(fill, starts))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            totals = list(pool.map(fill, starts))
+    redraws = [sum(counts) for counts in zip(*totals)]
+    return {stat: (values[i], redraws[i]) for i, stat in enumerate(Statistic)}
 
 
 @dataclass(frozen=True)
@@ -311,15 +338,15 @@ def run_moment_study(
 ) -> list[MomentRow]:
     """Summaries of each statistic against the true null value 0.
 
-    Rows run statistic by statistic, and by n within a statistic.
+    Draws run n by n, all three statistics at once; rows run statistic by
+    statistic, and by n within a statistic.
     """
     _check_study(seed, sample_sizes, replications, threads)
-    rows = []
-    for stat in Statistic:
-        for n in sample_sizes:
-            values, redraws = _draw_many(seed, n, stat, replications, threads)
-            rows.append(MomentRow(stat, n, summarize(values, 0.0), redraws))
-    return rows
+    rows = {}
+    for n in sample_sizes:
+        for stat, (values, redraws) in _draw_statistics(seed, n, replications, threads).items():
+            rows[stat, n] = MomentRow(stat, n, summarize(values, 0.0), redraws)
+    return [rows[stat, n] for stat in Statistic for n in sample_sizes]
 
 
 def _statistic_pools(
@@ -330,8 +357,7 @@ def _statistic_pools(
 ) -> dict[str, np.ndarray]:
     """sqrt(n)-scaled draws of each statistic at n, by CSV label."""
     pools: dict[str, np.ndarray] = {}
-    for stat in Statistic:
-        values, redraws = _draw_many(seed, n, stat, replications, threads)
+    for stat, (values, redraws) in _draw_statistics(seed, n, replications, threads).items():
         if redraws:
             log.info("n=%d %s: %d tie redraws", n, stat.value, redraws)
         values *= math.sqrt(n)

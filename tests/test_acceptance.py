@@ -21,7 +21,7 @@ from footrule.representations import (
     hajek_representation,
 )
 from footrule.simulate import (
-    _draw_many,
+    _draw_statistics,
     _stream_uniforms,
     _uniform_rows,
     run_ks_study,
@@ -49,7 +49,7 @@ def report(criterion, passed, detail):
 
 
 def draw_block(seed, n, statistic, replications, scaled=False):
-    values, _ = _draw_many(seed, n, statistic, replications, 1)
+    values, _ = _draw_statistics(seed, n, replications, 1)[statistic]
     return values * math.sqrt(n) if scaled else values
 
 
@@ -184,9 +184,9 @@ def coupled_draws(seed, n, reps):
     first = np.empty(reps)
     second = np.empty(reps)
     # each row is its stream's first 2n uniforms wherever no word is rejected
-    vecs, rejected = _uniform_rows(seed, np.arange(reps, dtype=np.uint64), n, 2 * n)
+    vecs, rejected = _uniform_rows(seed, np.arange(reps, dtype=np.uint64), (n,), 2 * n)
     assert not rejected.any()
-    for rep, vec in enumerate(vecs):
+    for rep, vec in enumerate(vecs[:, 0]):
         pairs = UniformPairs(vec[:n], vec[n:])
         first[rep] = double_sum_representation(pairs)
         second[rep] = hajek_representation(pairs)

@@ -390,13 +390,14 @@ def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", Pool)
-    # n = 100 at 1400 reps is three batches per statistic, so a pool runs.
+    # n = 100 at 1400 reps is several batches, so one pool runs for the n.
+    assert 1400 > simulate._CHUNK_WORDS // (6 * 100)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     simulate.run_moment_study(8, (100,), 1400, threads=64)
-    assert workers == [2, 2, 2]
+    assert workers == [2]
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
     simulate.run_moment_study(8, (100,), 1400, threads=64)
-    assert workers == [2, 2, 2]  # no CPU count: one worker, inline
+    assert workers == [2]  # no CPU count: one worker, inline
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     base = ["simulate", "moments", "--n-list", "100", "--reps", "1400", "--seed", "8"]
     outputs = []
@@ -405,7 +406,7 @@ def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch):
         assert main(base + ["--threads", threads, "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
     assert outputs[1] == outputs[0]
-    assert max(workers) == 2 and len(workers) == 6
+    assert max(workers) == 2 and len(workers) == 2
 
 
 class TestExactCommand:
@@ -643,7 +644,7 @@ class TestSimulateCommands:
         def no_work(*args):
             raise AssertionError("started the study before rejecting --out")
 
-        monkeypatch.setattr(simulate, "_draw_many", no_work)
+        monkeypatch.setattr(simulate, "_draw_statistics", no_work)
         (tmp_path / name).mkdir()
         assert main([
             "simulate", "curves", "--n-list", "10", "--reps", "20", "--out", str(tmp_path / "c"),
@@ -713,7 +714,7 @@ def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, lines, code):
     def no_work(*args):
         raise AssertionError("started the work before rejecting the input")
 
-    monkeypatch.setattr(simulate, "_draw_many", no_work)
+    monkeypatch.setattr(simulate, "_draw_statistics", no_work)
     monkeypatch.setattr(cli, "enumerate_null_distribution", no_work)
     csv_path = tmp_path / "data.csv"
     if isinstance(lines, bytes):

@@ -30,7 +30,7 @@ from footrule.simulate import (
     _LEMIRE_THRESHOLD,
     StreamKey,
     _block,
-    _draw_many,
+    _draw_statistics,
     _philox_words,
     _stream_uniforms,
     _uniform_rows,
@@ -100,12 +100,12 @@ class TestUniformOpen:
 
 class TestDrawStatistic:
     def test_reproducible(self):
-        first, _ = _draw_many(42, 20, Statistic.FOOTRULE, 13, 1)
-        again, _ = _draw_many(42, 20, Statistic.FOOTRULE, 13, 1)
+        first, _ = _draw_statistics(42, 20, 13, 1)[Statistic.FOOTRULE]
+        again, _ = _draw_statistics(42, 20, 13, 1)[Statistic.FOOTRULE]
         assert first[12] == again[12]
 
     def test_rank_draw_lives_on_the_lattice(self):
-        values, _ = _draw_many(7, 10, Statistic.FOOTRULE, 50, 1)
+        values, _ = _draw_statistics(7, 10, 50, 1)[Statistic.FOOTRULE]
         for phi in values.tolist():
             assert 1 - 3 * 50 / 99 <= phi <= 1.0
             d = (1.0 - phi) * 99 / 3
@@ -117,7 +117,7 @@ class TestDrawStatistic:
         # transform, so the paper's normal-x, uniform-y data give the
         # uniform draw's value exactly
         inverse_normal = statistics.NormalDist().inv_cdf
-        drawn, _ = _draw_many(3, 50, Statistic.FOOTRULE, 20, 1)
+        drawn, _ = _draw_statistics(3, 50, 20, 1)[Statistic.FOOTRULE]
         for rep in range(20):
             vec = _stream_uniforms(3, rep, _block(Statistic.FOOTRULE, 50), 100)
             u, v = vec[:50], vec[50:]
@@ -127,15 +127,15 @@ class TestDrawStatistic:
             assert phi == drawn[rep]
 
     def test_statistics_use_distinct_streams(self):
-        values = {stat: _draw_many(21, 25, stat, 1, 1)[0][0] for stat in Statistic}
-        assert len(set(values.values())) == 3
+        drawn = _draw_statistics(21, 25, 1, 1)
+        assert len({values[0] for values, _ in drawn.values()}) == 3
 
     def test_null_mean_footrule_n10(self):
-        values, _ = _draw_many(42, 10, Statistic.FOOTRULE, 10_000, 1)
+        values, _ = _draw_statistics(42, 10, 10_000, 1)[Statistic.FOOTRULE]
         assert abs(np.mean(values)) < 0.0065  # 3 sigma at Var = 0.04646
 
     def test_null_variance_double_sum_n10(self):
-        values, _ = _draw_many(42, 10, Statistic.DOUBLE_SUM, 10_000, 1)
+        values, _ = _draw_statistics(42, 10, 10_000, 1)[Statistic.DOUBLE_SUM]
         assert np.var(values, ddof=1) == pytest.approx(0.0367, abs=0.0016)
 
 
@@ -146,7 +146,7 @@ class TestMomentStudy:
             (stat, n) for stat in Statistic for n in (5, 9)
         ]
         for row in rows:
-            values, _ = _draw_many(1, row.n, row.statistic, 3, 1)
+            values, _ = _draw_statistics(1, row.n, 3, 1)[row.statistic]
             assert row.summary == summarize(values, 0.0)
         assert all(row.redraws == 0 for row in rows)
 
@@ -191,8 +191,8 @@ class TestKsStudy:
         labels = [row.combination for row in rows[:6]]
         assert labels == [f"{a}-vs-{b}" for a, b in KS_COMBINATIONS]
         pools = {
-            (stat.value, n): _draw_many(3, n, stat, 80, 1)[0] * math.sqrt(n)
-            for stat in Statistic for n in (10, 20)
+            (stat.value, n): values * math.sqrt(n)
+            for n in (10, 20) for stat, (values, _) in _draw_statistics(3, n, 80, 1).items()
         }
         for row in rows:
             assert 0.0 <= row.outcome.statistic <= 1.0
@@ -214,7 +214,7 @@ class TestKsStudy:
         assert first == second
 
     def test_footrule_repetition_at_n10(self):
-        values, _ = _draw_many(4, 10, Statistic.FOOTRULE, 1000, 1)
+        values, _ = _draw_statistics(4, 10, 1000, 1)[Statistic.FOOTRULE]
         values *= math.sqrt(10)
         assert len(set(values.tolist())) < 60  # the scaled statistic has few atoms
 
@@ -242,7 +242,7 @@ class TestKsStudy:
         for n in range(20, 101, 10):
             hits = 0
             for i in range(10):
-                values, _ = _draw_many(500 + i, n, Statistic.HAJEK, 1000, 1)
+                values, _ = _draw_statistics(500 + i, n, 1000, 1)[Statistic.HAJEK]
                 values *= math.sqrt(n)
                 outcome = ks_one_sample(values, lambda t: normal_cdf(t, 0.0, 0.4))
                 hits += outcome.p_value > 0.01
@@ -270,7 +270,7 @@ def test_invalid_study_settings_rejected_before_drawing(monkeypatch, study, bad)
     def no_draws(*args):
         raise AssertionError("drew before validating the settings")
 
-    monkeypatch.setattr(simulate, "_draw_many", no_draws)
+    monkeypatch.setattr(simulate, "_draw_statistics", no_draws)
     with pytest.raises(ValueError):
         study(**{"seed": 1, "sample_sizes": (10,), "replications": 50, **bad})
 
@@ -333,37 +333,40 @@ def rejected_word(low):
 
 class TestBatchedEngine:
     def test_streams_match_numpy_philox(self):
-        # 4 seeds x 3 statistics x 3 lengths x 30 replications = 1080 streams
+        # 4 seeds x 3 lengths x 3 statistics x 30 replications = 1080 streams,
+        # the three statistics' blocks of one n drawn in one call
         reps = np.arange(30, dtype=np.uint64) * 977
         for seed in (0, 2**63, 2**64 - 1, 42):
-            for stat in Statistic:
-                for n in (3, 10, 7):
-                    block = _block(stat, n)
-                    count = 2 * n + (n == 7)  # 6, 20 and 15 words
-                    words = _philox_words(seed, reps, block, count)
-                    uniforms, rejected = _uniform_rows(seed, reps, block, count)
-                    assert not rejected.any()
+            for n in (3, 10, 7):
+                blocks = tuple(_block(stat, n) for stat in Statistic)
+                count = 2 * n + (n == 7)  # 6, 20 and 15 words
+                words = _philox_words(seed, reps, blocks, count)
+                uniforms, rejected = _uniform_rows(seed, reps, blocks, count)
+                assert words.shape == uniforms.shape == (len(reps), 3, count)
+                assert not rejected.any()
+                for b, block in enumerate(blocks):
                     for i, rep in enumerate(reps.tolist()):
                         key = np.array([seed, rep], dtype=np.uint64)
                         bitgen = np.random.Philox(key=key, counter=[0, 0, 0, block])
-                        assert np.array_equal(words[i], bitgen.random_raw(count))
+                        assert np.array_equal(words[i, b], bitgen.random_raw(count))
                         bitgen = np.random.Philox(key=key, counter=[0, 0, 0, block])
                         ints = np.random.Generator(bitgen).integers(1, 2**53, size=count)
-                        assert np.array_equal(uniforms[i], ints / 2**53)
+                        assert np.array_equal(uniforms[i, b], ints / 2**53)
 
     @staticmethod
-    def _force(monkeypatch, rep, edits):
-        """Put `edits` ({word index: word}) into stream `rep` wherever the engine
-        reads it, make numpy's Philox and Generator unusable, and record the
-        replications the engine redraws one at a time."""
+    def _force(monkeypatch, rep, block, edits):
+        """Put `edits` ({word index: word}) into counter block `block` of stream
+        `rep` wherever the engine reads it, make numpy's Philox and Generator
+        unusable, and record the replications the engine redraws one at a time."""
         real_words, real_redraw = simulate._philox_words, simulate._redraw_row
         redrawn = []
 
-        def words(seed, reps, block, count):
-            out = real_words(seed, reps, block, count).copy()
-            for k, word in edits.items():
-                if k < count:
-                    out[reps == rep, k] = word
+        def words(seed, reps, blocks, count):
+            out = real_words(seed, reps, blocks, count).copy()
+            if block in blocks:
+                for k, word in edits.items():
+                    if k < count:
+                        out[reps == rep, blocks.index(block), k] = word
             return out
 
         def redraw_row(seed, row_rep, *args):
@@ -381,7 +384,7 @@ class TestBatchedEngine:
 
     @staticmethod
     def _head(seed, rep, block):
-        return _philox_words(seed, np.array([rep], dtype=np.uint64), block, 4)[0].copy()
+        return _philox_words(seed, np.array([rep], dtype=np.uint64), (block,), 4)[0, 0].copy()
 
     @pytest.mark.parametrize("stat", list(Statistic), ids=lambda s: s.value)
     def test_lemire_rejection_goes_to_scalar_path(self, monkeypatch, stat):
@@ -391,8 +394,8 @@ class TestBatchedEngine:
         head[0] = 0
         expected = [draw_value(StreamKey(5, rep), 9, stat, head if rep == 3 else None)[0]
                     for rep in range(8)]
-        redrawn = self._force(monkeypatch, 3, {0: 0})
-        values, redraws = _draw_many(5, 9, stat, 8, 1)
+        redrawn = self._force(monkeypatch, 3, _block(stat, 9), {0: 0})
+        values, redraws = _draw_statistics(5, 9, 8, 1)[stat]
         assert redrawn == [3]
         assert redraws == 0
         assert values.tolist() == expected
@@ -404,15 +407,15 @@ class TestBatchedEngine:
         expected = [draw_value(StreamKey(5, rep), 9, Statistic.FOOTRULE,
                                head if rep == 5 else None) for rep in range(8)]
         assert [redraws for _, redraws in expected] == [0] * 5 + [1] + [0] * 2
-        redrawn = self._force(monkeypatch, 5, {1: head[0]})
-        values, redraws = _draw_many(5, 9, Statistic.FOOTRULE, 8, 1)
+        redrawn = self._force(monkeypatch, 5, _block(Statistic.FOOTRULE, 9), {1: head[0]})
+        values, redraws = _draw_statistics(5, 9, 8, 1)[Statistic.FOOTRULE]
         assert redrawn == [5]
         assert redraws == 1
         assert values.tolist() == [value for value, _ in expected]
 
     def test_cli_notes_tie_redraws(self, monkeypatch, capsys, tmp_path):
         head = self._head(5, 5, _block(Statistic.FOOTRULE, 9))
-        self._force(monkeypatch, 5, {1: head[0]})
+        self._force(monkeypatch, 5, _block(Statistic.FOOTRULE, 9), {1: head[0]})
         out = tmp_path / "moments.csv"
         assert main(["simulate", "moments", "--seed", "5", "--n-list", "9",
                      "--reps", "8", "--out", str(out)]) == 0
@@ -421,7 +424,7 @@ class TestBatchedEngine:
     def test_cli_exits_3_when_redraws_run_out(self, monkeypatch, capsys):
         # with no redraws left, the tied replication 5 raises TiesError
         head = self._head(5, 5, _block(Statistic.FOOTRULE, 9))
-        self._force(monkeypatch, 5, {1: head[0]})
+        self._force(monkeypatch, 5, _block(Statistic.FOOTRULE, 9), {1: head[0]})
         monkeypatch.setattr(simulate, "_MAX_REDRAWS", 0)
         code = main(["simulate", "moments", "--seed", "5", "--n-list", "9", "--reps", "8"])
         out, err = capsys.readouterr()
@@ -449,7 +452,7 @@ class TestBatchedEngine:
         # fall in U or both in V)
         start = data.draw(st.integers(0, 2 * n - 1)) if data else 0
         block = _block(stat, n)
-        words = _philox_words(seed, np.array([rep], dtype=np.uint64), block, 6 * n + 8)[0]
+        words = _philox_words(seed, np.array([rep], dtype=np.uint64), (block,), 6 * n + 8)[0, 0]
         edits = {start + j: rejected_word(low) for j, low in enumerate(lows)}
         if tie:
             edits[start + len(lows) + 1] = int(words[start + len(lows)])
@@ -459,10 +462,10 @@ class TestBatchedEngine:
         uniforms = lemire_uniforms(words)
         expected, expected_redraws = redraw_loop(
             lambda size: np.array(list(itertools.islice(uniforms, size))), n, stat)
-        clean, _ = _draw_many(seed, n, stat, 4, 1)
+        clean, _ = _draw_statistics(seed, n, 4, 1)[stat]
         with pytest.MonkeyPatch.context() as monkeypatch:
-            redrawn = self._force(monkeypatch, rep, edits)
-            values, redraws = _draw_many(seed, n, stat, 4, 1)
+            redrawn = self._force(monkeypatch, rep, block, edits)
+            values, redraws = _draw_statistics(seed, n, 4, 1)[stat]
         assert redrawn == [rep]
         assert values[rep] == expected
         assert redraws == expected_redraws
@@ -498,13 +501,50 @@ class TestBatchedEngine:
 
     def test_threads_bytes_identical_over_several_chunks(self, tmp_path):
         n, reps = 200, 700
-        assert reps > simulate._CHUNK_WORDS // (2 * n)  # more than one chunk
+        assert reps > simulate._CHUNK_WORDS // (6 * n)  # more than one chunk
         base = ["simulate", "moments", "--n-list", str(n), "--reps", str(reps),
                 "--seed", "13", "--full-precision"]
         one, two = tmp_path / "one.csv", tmp_path / "two.csv"
         assert main(base + ["--threads", "1", "--out", str(one)]) == 0
         assert main(base + ["--threads", "2", "--out", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
+
+    def test_small_chunks_keep_every_byte(self, tmp_path, monkeypatch):
+        # at 600 words a chunk holds 10 replications at n = 10 and 4 at n = 25,
+        # so 37 replications split into 4 and 10 chunks, the last one short
+        n_list, reps = (10, 25), 37
+        base = ["--n-list", ",".join(map(str, n_list)), "--reps", str(reps), "--seed", "4",
+                "--full-precision"]
+        runs = {"moments": ["moments"], "kstest": ["kstest"],
+                "curves": ["curves", "--grid-size", "16"]}
+
+        def outputs(label, *threads):
+            for name, args in runs.items():
+                out = tmp_path / (f"{label}-{name}" + ("" if name == "curves" else ".csv"))
+                assert main(["simulate", *args, *base, *threads, "--out", str(out)]) == 0
+            return {path.name.removeprefix(label): path.read_bytes()
+                    for path in tmp_path.glob(f"{label}-*")}
+
+        default = outputs("default")
+        assert len(default) == 4
+        monkeypatch.setattr(simulate, "_CHUNK_WORDS", 600)
+        for n, chunks in zip(n_list, (4, 10)):
+            step = simulate._CHUNK_WORDS // (6 * n)
+            assert -(-reps // step) == chunks and reps % step
+        assert outputs("one", "--threads", "1") == default
+        assert outputs("two", "--threads", "2") == default
+
+    def test_cpu_count_read_only_for_a_pool(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: calls.append(1) or 2)
+        n, reps = 100, 1400
+        assert reps > simulate._CHUNK_WORDS // (6 * n)  # more than one chunk
+        run_moment_study(8, (n,), reps, threads=1)
+        assert calls == []
+        run_moment_study(8, (n,), 2, threads=2)  # one chunk
+        assert calls == []
+        run_moment_study(8, (n, n), reps, threads=2)
+        assert len(calls) == 2
 
 
 class TestExactLawOracle:
@@ -514,7 +554,7 @@ class TestExactLawOracle:
 
     @pytest.mark.parametrize("n", [5, 10, 30])
     def test_displacement_matches_exact_law(self, n):
-        phi, _ = _draw_many(42, n, Statistic.FOOTRULE, self.REPS, 1)
+        phi, _ = _draw_statistics(42, n, self.REPS, 1)[Statistic.FOOTRULE]
         d = (1.0 - phi) * (n * n - 1) / 3.0
         assert np.abs(d - np.rint(d)).max() < 1e-6
         d = np.rint(d).astype(int)
