@@ -178,14 +178,44 @@ def _record_number(index: int, skipped: list[int]) -> int:
     return number
 
 
+def _plain_rows(text: str) -> np.ndarray | None:
+    """The (x, y) rows of a plain block, parsed by numpy's C reader, or None.
+
+    A block is plain when it has no quote, CR or NUL and no blank record,
+    and is shorter than the csv module's field size limit: the csv reader
+    would split each of its lines at the commas alone. `np.loadtxt` reads
+    each cell with the `PyOS_string_to_double` that `float` uses and
+    rejects what `float` reads differently (underscores, non-ASCII
+    digits), so its values are bit for bit those of the csv loop. None,
+    also where it fails or does not give two cells on every line, sends
+    the block to the csv loop, which names the block's first bad record.
+    """
+    if ('"' in text or "\r" in text or "\0" in text or "\n\n" in text
+            or text.startswith("\n") or len(text) >= csv.field_size_limit()):
+        return None
+    if not text:
+        return np.empty((0, 2))
+    lines = text.count("\n") + (not text.endswith("\n"))
+    try:
+        rows = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, dtype=float,
+                          ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape == (lines, 2) else None
+
+
 def _read_paired_csv(path: str, has_header: bool) -> tuple[PairedSample, list[int]]:
     """The two columns of a `stat` CSV, and the numbers of its non-data records.
 
     The input is read once, as a stream, so a pipe works; lines end at
-    CR, LF or CR LF. Records are checked one by one and only their floats
-    are kept. The first bad record in file order exits 2 with its csv
-    record number: records are read up to a malformed or unreadable one,
-    and a NaN or infinite value among them is found by one numpy check.
+    CR, LF or CR LF. A decoded block is parsed by numpy's C reader if it
+    is plain (see `_plain_rows`) and no header is pending, and otherwise
+    record by record by the csv module; a block with a quote sends itself
+    and every later block to one csv reader, since a quoted field may
+    span blocks. Only floats are kept. The first bad record in file order exits 2 with its
+    csv record number: records are read up to a malformed or unreadable
+    one, and a NaN or infinite value among them is found by one numpy
+    check.
     """
     try:
         handle = open(path, "rb")
@@ -193,34 +223,52 @@ def _read_paired_csv(path: str, has_header: bool) -> tuple[PairedSample, list[in
         raise CliError(f"cannot open {path}: {exc}") from exc
     skipped: list[int] = []
     error = None
+    records = 0  # csv records read so far
+    header = has_header  # the header is the first non-blank record
 
-    def cells(records):
-        """x, then y, of each data record, up to the first bad one."""
-        nonlocal error
-        header = has_header  # the header is the first non-blank record
+    def cells(lines):
+        """x, then y, of each data record of `lines`, up to the first bad one."""
+        nonlocal error, header, records
         try:
-            for number, row in enumerate(records, start=1):
+            for row in csv.reader(lines):
+                records += 1
                 if len(row) == 2 and not header:
                     try:
                         x, y = float(row[0]), float(row[1])
                     except ValueError:
-                        error = CliError(f"row {number}: cannot parse {','.join(row)!r}")
+                        error = CliError(f"row {records}: cannot parse {','.join(row)!r}")
                         return
                     yield x
                     yield y
                 elif header or not row:
-                    skipped.append(number)
+                    skipped.append(records)
                     header = header and not row
                 else:
-                    error = CliError(f"row {number}: expected 2 columns, got {len(row)}")
+                    error = CliError(f"row {records}: expected 2 columns, got {len(row)}")
                     return
         except (UnicodeError, csv.Error) as exc:
             error = CliError(f"cannot read {path}: {exc}")
 
+    parts = []
     with handle:
-        lines = itertools.chain.from_iterable(
-            io.StringIO(text, newline="") for text in _text_blocks(handle))
-        values = np.fromiter(cells(csv.reader(lines)), dtype=float).reshape(-1, 2)
+        blocks = _text_blocks(handle)
+        try:
+            for text in blocks:
+                rows = None if header else _plain_rows(text)
+                if rows is None:
+                    lines = io.StringIO(text, newline="")
+                    if '"' in text:
+                        lines = itertools.chain(lines, itertools.chain.from_iterable(
+                            io.StringIO(rest, newline="") for rest in blocks))
+                    rows = np.fromiter(cells(lines), dtype=float).reshape(-1, 2)
+                else:
+                    records += len(rows)
+                parts.append(rows)
+                if error is not None:
+                    break
+        except UnicodeError as exc:
+            error = CliError(f"cannot read {path}: {exc}")
+    values = np.concatenate(parts)  # _text_blocks yields at least one block
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise CliError(f"row {_record_number(int(bad[0]), skipped)}: NaN or infinite value")

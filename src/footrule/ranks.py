@@ -82,20 +82,26 @@ def compute_ranks(values) -> np.ndarray:
     if not np.isfinite(vals).all():
         raise NonFiniteError("values contain NaN or infinite entries")
 
-    order, sv, has_tie, ranks = _rank_rows(vals)
-    if has_tie:
-        raise _first_repeat(vals, order, sv)
+    return _tie_free_ranks(vals)
+
+
+def _tie_free_ranks(vals: np.ndarray) -> np.ndarray:
+    """Ranks of one unvalidated row of floats; TiesError on equal values."""
+    ranks, tied = _rank_rows(vals)
+    if tied:
+        raise _first_repeat(vals)
     return ranks
 
 
-def _first_repeat(vals: np.ndarray, order: np.ndarray, sv: np.ndarray) -> TiesError:
+def _first_repeat(vals: np.ndarray) -> TiesError:
     """TiesError for the first value, in input order, equal to an earlier one.
 
-    Read off the stable sort that ranking already did: within a run of
-    equal sorted values the positions ascend, so every run member but
-    the first is a repeat, and the run's first member is the value's
-    first occurrence.
+    Read off a stable sort: within a run of equal sorted values the
+    positions ascend, so every run member but the first is a repeat, and
+    the run's first member is the value's first occurrence.
     """
+    order = np.argsort(vals, kind="stable")
+    sv = vals[order]
     j = int(order[1:][sv[1:] == sv[:-1]].min())
     value = float(vals[j])
     i = int(order[np.searchsorted(sv, value)])
@@ -106,18 +112,20 @@ def _first_repeat(vals: np.ndarray, order: np.ndarray, sv: np.ndarray) -> TiesEr
 
 
 def _rank_rows(values: np.ndarray):
-    """Sort each row (last axis): stable order, sorted values, tie flag, ranks.
+    """Ranks 1..n of each row (last axis), and a per-row tie flag.
 
-    One sort per row: ranks 1..n are scattered through the sort order
-    (the inverse permutation), ties broken by position; they are the
-    true ranks only where the tie flag is False.
+    One sort per row: the ranks are scattered through the sort order
+    (the inverse permutation). Distinct values have one sort order, so
+    numpy's default (unstable, SIMD) argsort gives the same ranks as a
+    stable one; the ranks are the true ranks only where the tie flag is
+    False.
     """
-    order = np.argsort(values, axis=-1, kind="stable")
-    sv = np.take_along_axis(values, order, axis=-1)
+    order = np.argsort(values, axis=-1)
+    sv = np.sort(values, axis=-1)
     tied = (sv[..., 1:] == sv[..., :-1]).any(axis=-1)
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
-    return order, sv, tied, ranks
+    return ranks, tied
 
 
 def _displacement(r: np.ndarray, s: np.ndarray):
@@ -134,8 +142,8 @@ def _footrule_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     flagged row's value is meaningless: the caller raises or, in the
     simulation engine, draws that row again.
     """
-    _, _, x_tied, r = _rank_rows(x)
-    _, _, y_tied, s = _rank_rows(y)
+    r, x_tied = _rank_rows(x)
+    s, y_tied = _rank_rows(y)
     return _displacement(r, s)[1], x_tied | y_tied
 
 
@@ -144,9 +152,10 @@ def footrule_coefficient(sample: PairedSample) -> FootruleResult:
 
     Raises TiesError on tied data. n = 2 is allowed but degenerate: the
     value is either 1 or -1, the latter below the large-sample floor of
-    -1/2.
+    -1/2. The sample is validated on construction, so its margins are
+    ranked without `compute_ranks`' checks.
     """
-    d, phi = _displacement(compute_ranks(sample.x), compute_ranks(sample.y))
+    d, phi = _displacement(_tie_free_ranks(sample.x), _tie_free_ranks(sample.y))
     return FootruleResult(n=sample.n, distance=int(d), phi=float(phi))
 
 

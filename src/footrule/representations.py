@@ -76,16 +76,23 @@ def _hajek_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _abs_diff_double_sum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_i sum_j |u_i - v_j| per row, via sorting and prefix sums.
 
-    k_i = #{j : v_j <= u_i} comes from one stable argsort of the row
+    k_i = #{j : v_j <= u_i} comes from a stable argsort of the row
     [sorted v, u]: every v not above u_i sorts before it, so k_i is u_i's
     merged position less the u values placed before it. This stays exact
-    where offsetting rows into one flat searchsorted would round.
+    where offsetting rows into one flat searchsorted would round. Only
+    equal values can sort in more than one order, so numpy's default
+    (SIMD) argsort does the merge, and a stable one redoes it when some
+    merged row has equal neighbours.
     """
     n = v.shape[-1]
     sv = np.sort(v, axis=-1)
     prefix = np.zeros(v.shape[:-1] + (n + 1,))
     np.cumsum(sv, axis=-1, out=prefix[..., 1:])
-    merged = np.argsort(np.concatenate((sv, u), axis=-1), axis=-1, kind="stable")
+    row = np.concatenate((sv, u), axis=-1)
+    merged = np.argsort(row, axis=-1)
+    ordered = np.sort(row, axis=-1)
+    if (ordered[..., 1:] == ordered[..., :-1]).any():
+        merged = np.argsort(row, axis=-1, kind="stable")
     v_before = np.arange(1, 2 * n + 1) - np.cumsum(merged >= n, axis=-1)
     k = np.take_along_axis(v_before, np.argsort(merged, axis=-1)[..., n:], axis=-1)
     prefix_k = np.take_along_axis(prefix, k, axis=-1)

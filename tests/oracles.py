@@ -3,12 +3,16 @@
 `footrule.representations` evaluates the double-sum and projected forms
 on whole rows at once. These are the per-pair pieces those forms are
 built from, written out one value at a time so the tests can check the
-kernels against them, and the exact uniform integrals the closed-form
-variances are built from. The exact moments of an exact null law check
-the closed-form variance and the simulated draws.
+kernels against them, the exact uniform integrals the closed-form
+variances are built from, and the cross sum merged by one stable sort
+that the double-sum kernel must match bit for bit. The exact moments
+of an exact null law check the closed-form variance and the simulated
+draws.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 # Moments of |U-V| and U(1-U) for independent U, V ~ Uniform(0,1).
 # COV_ABS_DIFF_U_ONE_MINUS_U couples |U1-V1| with U1(1-U1);
@@ -58,3 +62,23 @@ def phi_moments_exact(law) -> tuple[Fraction, Fraction]:
     mean = 1 - Fraction(3, m) * mean_d
     var = Fraction(9, m * m) * (mean_d2 - mean_d * mean_d)
     return mean, var
+
+
+def abs_diff_double_sum_stable(u, v):
+    """sum_i sum_j |u_i - v_j| per row, merged by one stable argsort.
+
+    The double-sum kernel before it sorted with numpy's default argsort:
+    k_i = #{j : v_j <= u_i} is u_i's position in the stable sort of
+    [sorted v, u] less the u values placed before it.
+    """
+    n = v.shape[-1]
+    sv = np.sort(v, axis=-1)
+    prefix = np.zeros(v.shape[:-1] + (n + 1,))
+    np.cumsum(sv, axis=-1, out=prefix[..., 1:])
+    merged = np.argsort(np.concatenate((sv, u), axis=-1), axis=-1, kind="stable")
+    v_before = np.arange(1, 2 * n + 1) - np.cumsum(merged >= n, axis=-1)
+    k = np.take_along_axis(v_before, np.argsort(merged, axis=-1)[..., n:], axis=-1)
+    prefix_k = np.take_along_axis(prefix, k, axis=-1)
+    below = u * k - prefix_k
+    above = (prefix[..., n:] - prefix_k) - u * (n - k)
+    return (below + above).sum(axis=-1)

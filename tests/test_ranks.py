@@ -53,6 +53,22 @@ def brute_force_counts(n):
     return {int(d): int(c) for d, c in enumerate(tallies) if c}
 
 
+def first_repeat_by_scan(values):
+    # independent O(n^2) oracle: the first value equal to an earlier one,
+    # and the positions of its first occurrence and of that repeat
+    for j in range(len(values)):
+        for i in range(j):
+            if values[i] == values[j]:
+                return values[j], (i, j)
+    return None
+
+
+def many_duplicates(n):
+    """A (values, value, positions) case: n floats drawn from n // 4 + 2 values."""
+    values = (np.random.default_rng(n).integers(0, n // 4 + 2, n) * 0.5 - 3.0).tolist()
+    return pytest.param(values, *first_repeat_by_scan(values), id=f"duplicates-n{n}")
+
+
 class TestComputeRanks:
     def test_by_inspection(self):
         assert compute_ranks([2.5, 1.1, 7.0]).tolist() == [2, 1, 3]
@@ -70,6 +86,10 @@ class TestComputeRanks:
         ([5.0, 3.0, 5.0, 3.0, 5.0], 5.0, (0, 2)),
         ([9.0, 2.0, 7.0, 2.0, 9.0], 2.0, (1, 3)),
         ([0.0, 4.0, -0.0], -0.0, (0, 2)),
+        # numpy's default argsort may order each run of equal values any way
+        many_duplicates(17),
+        many_duplicates(100),
+        many_duplicates(100_000),
     ])
     def test_tie_names_first_repeat(self, values, value, positions):
         with pytest.raises(TiesError) as info:

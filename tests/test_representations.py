@@ -6,10 +6,11 @@ import pytest
 from footrule.common import SampleSizeError
 from footrule.representations import (
     UniformPairs,
+    _abs_diff_double_sum,
     double_sum_representation,
     hajek_representation,
 )
-from oracles import hajek_projection_term, u_kernel
+from oracles import abs_diff_double_sum_stable, hajek_projection_term, u_kernel
 
 
 def double_sum_by_loops(u, v):
@@ -46,6 +47,22 @@ class TestDoubleSumForm:
             fast = double_sum_representation(UniformPairs(u, v))
             slow = double_sum_by_loops(u.tolist(), v.tolist())
             assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    def test_equal_values_match_stable_merge(self, n):
+        # An unstable sort may merge a u_i equal to some v_j on either side
+        # of it; the kernel's bits must be those of the stable merge, in a
+        # batch, in a tie-free batch and row by row.
+        rng = np.random.default_rng(n)
+        rows = 300
+        u, v = rng.random((rows, n)), rng.random((rows, n))
+        tied = rng.random(rows) < 0.5
+        for r in np.flatnonzero(tied):
+            u[r, rng.integers(0, n, 2)] = v[r, rng.integers(0, n, 2)]
+        assert (u[:, :, None] == v[:, None, :]).any(axis=(1, 2)).tolist() == tied.tolist()
+        for a, b in ((u, v), (u[~tied], v[~tied]), *zip(u, v)):
+            assert _abs_diff_double_sum(a, b).tobytes() == \
+                abs_diff_double_sum_stable(a, b).tobytes()
 
 
 class TestHajekForm:
