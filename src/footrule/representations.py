@@ -9,6 +9,7 @@ fully linearized form whose summands are independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,25 +77,27 @@ def _hajek_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _abs_diff_double_sum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_i sum_j |u_i - v_j| per row, via sorting and prefix sums.
 
-    k_i = #{j : v_j <= u_i} comes from a stable argsort of the row
-    [sorted v, u]: every v not above u_i sorts before it, so k_i is u_i's
-    merged position less the u values placed before it. This stays exact
-    where offsetting rows into one flat searchsorted would round. Only
-    equal values can sort in more than one order, so numpy's default
-    (SIMD) argsort does the merge, and a stable one redoes it when some
-    merged row has equal neighbours.
+    k_i = #{j : v_j <= u_i} is counted as defined: one right-sided
+    searchsorted of every row's sorted u among every row's sorted v, on
+    complex keys (row index, value). numpy orders complex values by real
+    part, then imaginary part, so the keys are exact for any values and
+    any number of rows, ties included. The counts go back to u's input
+    order, so the per-u terms are summed in that order.
     """
     n = v.shape[-1]
     sv = np.sort(v, axis=-1)
     prefix = np.zeros(v.shape[:-1] + (n + 1,))
     np.cumsum(sv, axis=-1, out=prefix[..., 1:])
-    row = np.concatenate((sv, u), axis=-1)
-    merged = np.argsort(row, axis=-1)
-    ordered = np.sort(row, axis=-1)
-    if (ordered[..., 1:] == ordered[..., :-1]).any():
-        merged = np.argsort(row, axis=-1, kind="stable")
-    v_before = np.arange(1, 2 * n + 1) - np.cumsum(merged >= n, axis=-1)
-    k = np.take_along_axis(v_before, np.argsort(merged, axis=-1)[..., n:], axis=-1)
+    order = np.argsort(u, axis=-1)
+    lead = v.shape[:-1] + (1,)
+    keys = np.empty((2,) + v.shape, dtype=complex)
+    keys.real = np.arange(math.prod(lead)).reshape(lead)
+    keys.imag[0] = sv
+    keys.imag[1] = np.take_along_axis(u, order, axis=-1)
+    at = np.searchsorted(keys[0].ravel(), keys[1].ravel(), side="right").reshape(v.shape)
+    at -= np.arange(0, at.size, n).reshape(lead)
+    k = np.empty_like(at)
+    np.put_along_axis(k, order, at, axis=-1)
     prefix_k = np.take_along_axis(prefix, k, axis=-1)
     below = u * k - prefix_k
     above = (prefix[..., n:] - prefix_k) - u * (n - k)

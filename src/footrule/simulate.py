@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -107,8 +108,16 @@ class StreamKey:
         return np.random.Generator(bitgen)
 
 
+def _check_integer(name: str, value: int) -> None:
+    """Reject a float or any other non-integer, which would be truncated or
+    fail only after drawing; Python and numpy integers pass."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_word(name: str, value: int) -> None:
-    """Keys are two 64-bit words; reject what would wrap or round."""
+    """Keys are two 64-bit words; reject what would wrap, round or truncate."""
+    _check_integer(name, value)
     if not 0 <= value < 1 << 64:
         raise ValueError(f"{name} must be in [0, 2^64), got {value}")
 
@@ -212,16 +221,17 @@ def _stream_uniforms(seed: int, rep: int, block: int, count: int) -> np.ndarray:
 
 
 def _statistic_rows(vec: np.ndarray, n: int,
-                    statistic: Statistic) -> tuple[np.ndarray, np.ndarray]:
-    """The statistic of each row of 2n uniforms (U, then V), and a tie flag."""
+                    statistic: Statistic) -> tuple[np.ndarray, np.ndarray | bool]:
+    """The statistic of each row of 2n uniforms (U, then V), and a tie flag.
+
+    Only the rank statistic can tie; the other two flag nothing.
+    """
     u, v = vec[..., :n], vec[..., n:]
     if statistic is Statistic.FOOTRULE:
         return _footrule_rows(u, v)
     if statistic is Statistic.DOUBLE_SUM:
-        out = _double_sum_rows(u, v)
-    else:
-        out = _hajek_rows(u, v)
-    return out, np.zeros(out.shape, dtype=bool)
+        return _double_sum_rows(u, v), False
+    return _hajek_rows(u, v), False
 
 
 def _redraw_row(seed: int, rep: int, n: int, statistic: Statistic) -> tuple[float, int]:
@@ -321,6 +331,10 @@ def _check_study(seed: int, sample_sizes: tuple[int, ...], replications: int,
                  threads: int) -> None:
     """Reject study settings before anything is drawn."""
     _check_word("seed", seed)
+    _check_integer("replications", replications)
+    _check_integer("threads", threads)
+    for n in sample_sizes:
+        _check_integer("sample size", n)
     if replications < 2:
         raise ValueError(f"replications must be >= 2, got {replications}")
     if threads < 1:
@@ -405,6 +419,7 @@ def run_curve_study(
     the KDE's grid so each (statistic, n) shares a single axis.
     """
     _check_study(seed, sample_sizes, replications, threads)
+    _check_integer("grid size", grid_size)
     if grid_size < 2:
         raise ValueError(f"grid size must be >= 2, got {grid_size}")
     var = limiting_variance()

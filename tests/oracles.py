@@ -4,8 +4,8 @@
 on whole rows at once. These are the per-pair pieces those forms are
 built from, written out one value at a time so the tests can check the
 kernels against them, the exact uniform integrals the closed-form
-variances are built from, and the cross sum merged by one stable sort
-that the double-sum kernel must match bit for bit. The exact moments
+variances are built from, and the cross sum merged by one stable sort:
+the reference the double-sum kernel must match bit for bit. The exact moments
 of an exact null law check the closed-form variance and the simulated
 draws.
 """
@@ -67,9 +67,10 @@ def phi_moments_exact(law) -> tuple[Fraction, Fraction]:
 def abs_diff_double_sum_stable(u, v):
     """sum_i sum_j |u_i - v_j| per row, merged by one stable argsort.
 
-    The double-sum kernel before it sorted with numpy's default argsort:
-    k_i = #{j : v_j <= u_i} is u_i's position in the stable sort of
-    [sorted v, u] less the u values placed before it.
+    The reference for the double-sum kernel, which counts k_i = #{j :
+    v_j <= u_i} with a searchsorted instead: here k_i is u_i's position
+    in the stable sort of [sorted v, u] less the u values placed before
+    it. The prefix sums and per-u terms are the kernel's, in its order.
     """
     n = v.shape[-1]
     sv = np.sort(v, axis=-1)

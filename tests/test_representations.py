@@ -50,9 +50,14 @@ class TestDoubleSumForm:
 
     @pytest.mark.parametrize("n", [2, 10, 100])
     def test_equal_values_match_stable_merge(self, n):
-        # An unstable sort may merge a u_i equal to some v_j on either side
-        # of it; the kernel's bits must be those of the stable merge, in a
-        # batch, in a tie-free batch and row by row.
+        # k_i counts every v_j <= u_i, so a v_j equal to u_i must count
+        # whichever side of it a sort leaves it; the kernel's bits must be
+        # those of the stable merge, in a batch, in a tie-free batch and row
+        # by row. The further inputs hold values off the engine's 2^-53
+        # lattice with u one ulp above v, the ends 0.0 and 1.0 with -0.0
+        # beside 0.0, u values repeated within a row, and a batch of more
+        # rows than the engine draws at once at n = 2; each runs as a batch
+        # and row by row.
         rng = np.random.default_rng(n)
         rows = 300
         u, v = rng.random((rows, n)), rng.random((rows, n))
@@ -63,6 +68,16 @@ class TestDoubleSumForm:
         for a, b in ((u, v), (u[~tied], v[~tied]), *zip(u, v)):
             assert _abs_diff_double_sum(a, b).tobytes() == \
                 abs_diff_double_sum_stable(a, b).tobytes()
+        small = rng.random((rows, n)) ** 40
+        big = rng.random((2, 3000, n))
+        big[0, :, 0] = big[1, :, -1]
+        for a, b in ((np.nextafter(small, 1), small),
+                     tuple(rng.choice([-0.0, 0.0, 1.0], size=(2, rows, n))),
+                     (np.take_along_axis(u, rng.integers(0, 2, (rows, n)), axis=1), v),
+                     tuple(big)):
+            for x, y in ((a, b), *zip(a, b)):
+                assert _abs_diff_double_sum(x, y).tobytes() == \
+                    abs_diff_double_sum_stable(x, y).tobytes()
 
 
 class TestHajekForm:

@@ -257,6 +257,11 @@ _BAD_SETTINGS = {
     "seed-too-large": dict(seed=2**64),
     "threads-zero": dict(threads=0),
     "threads-negative": dict(threads=-5),
+    # A float would be truncated into the key or fail only after drawing.
+    "seed-fractional": dict(seed=1.5),
+    "reps-fractional": dict(replications=2.5),
+    "n-fractional": dict(sample_sizes=(10.0,)),
+    "threads-fractional": dict(threads=1.5),
 }
 
 
@@ -264,8 +269,9 @@ _BAD_SETTINGS = {
     *((study, bad) for study in (run_moment_study, run_ks_study, run_curve_study)
       for bad in _BAD_SETTINGS.values()),
     (run_curve_study, dict(grid_size=1)),
+    (run_curve_study, dict(grid_size=4.5)),
 ], ids=[*(f"{study}-{name}" for study in ("moments", "kstest", "curves")
-          for name in _BAD_SETTINGS), "curves-grid-size"])
+          for name in _BAD_SETTINGS), "curves-grid-size", "curves-grid-size-fractional"])
 def test_invalid_study_settings_rejected_before_drawing(monkeypatch, study, bad):
     def no_draws(*args):
         raise AssertionError("drew before validating the settings")
@@ -273,6 +279,11 @@ def test_invalid_study_settings_rejected_before_drawing(monkeypatch, study, bad)
     monkeypatch.setattr(simulate, "_draw_statistics", no_draws)
     with pytest.raises(ValueError):
         study(**{"seed": 1, "sample_sizes": (10,), "replications": 50, **bad})
+
+
+def test_numpy_integer_settings_draw_as_python_ints():
+    as_numpy = run_moment_study(np.uint64(1), (np.int64(10),), np.int32(50), np.int8(1))
+    assert as_numpy == run_moment_study(1, (10,), 50, 1)
 
 
 class TestCurveStudy:
