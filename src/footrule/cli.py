@@ -34,7 +34,7 @@ from .ranks import (
     footrule_coefficient,
 )
 from .simulate import CurveRow, run_curve_study, run_ks_study, run_moment_study
-from .stats import CurveGrid, normal_cdf
+from .stats import normal_cdf
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,17 +57,29 @@ def _float_format(full_precision: bool):
     return repr if full_precision else "{:.5f}".format
 
 
+def _cells(column, fmt):
+    """The CSV cells of one column.
+
+    A float64 array is formatted with `fmt` once per distinct bit pattern
+    (so -0.0 and 0.0 stay apart), and a column with all values distinct
+    in one pass; any other column (ints, exact counts, fixed labels,
+    cells already formatted) with `str`.
+    """
+    if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
+        return map(str, column)
+    bits, at = np.unique(column.view(np.uint64), return_inverse=True)
+    if len(bits) == len(column):
+        return map(fmt, column.tolist())
+    text = list(map(fmt, bits.view(np.float64).tolist()))
+    return map(text.__getitem__, at.tolist())
+
+
 def _block_text(block, fmt) -> str:
     """The CSV lines of one block: a tuple of equal-length columns.
 
-    A float64 array column is formatted in one pass with `fmt`; any other
-    column (ints, exact counts, fixed labels) with `str`. Every cell is a
-    number or a fixed label, so none needs csv quoting.
+    Every cell is a number or a fixed label, so none needs csv quoting.
     """
-    cells = [map(fmt, column.tolist())
-             if isinstance(column, np.ndarray) and column.dtype == np.float64
-             else map(str, column) for column in block]
-    lines = "\n".join(map(",".join, zip(*cells)))
+    lines = "\n".join(map(",".join, zip(*(_cells(column, fmt) for column in block))))
     return lines + "\n" if lines else ""
 
 
@@ -249,7 +261,7 @@ def _read_paired_csv(path: str, has_header: bool) -> tuple[PairedSample, list[in
         except (UnicodeError, csv.Error) as exc:
             error = CliError(f"cannot read {path}: {exc}")
 
-    parts = []
+    values = np.empty((0, 2))
     with handle:
         blocks = _text_blocks(handle)
         try:
@@ -263,12 +275,14 @@ def _read_paired_csv(path: str, has_header: bool) -> tuple[PairedSample, list[in
                     rows = np.fromiter(cells(lines), dtype=float).reshape(-1, 2)
                 else:
                     records += len(rows)
-                parts.append(rows)
+                # One buffer grows by each block, so no second copy of the
+                # read values is ever held.
+                values.resize((len(values) + len(rows), 2), refcheck=False)
+                values[len(values) - len(rows):] = rows
                 if error is not None:
                     break
         except UnicodeError as exc:
             error = CliError(f"cannot read {path}: {exc}")
-    values = np.concatenate(parts)  # _text_blocks yields at least one block
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
         raise CliError(f"row {_record_number(int(bad[0]), skipped)}: NaN or infinite value")
@@ -407,10 +421,11 @@ def _curve_paths(base: Path) -> tuple[Path, Path]:
     return stem.with_name(stem.name + "_density.csv"), stem.with_name(stem.name + "_cdf.csv")
 
 
-def _curve_block(entry: CurveRow, curve: CurveGrid, ref: np.ndarray) -> tuple:
-    """One curve's CSV block: statistic, n, grid, curve values, reference."""
-    size = len(curve.grid)
-    return [entry.statistic.value] * size, [entry.n] * size, curve.grid, curve.values, ref
+def _curve_block(entry: CurveRow, grid: list[str], values: np.ndarray,
+                 ref: np.ndarray) -> tuple:
+    """One curve's CSV block: statistic, n, grid cells, curve values, reference."""
+    size = len(grid)
+    return [entry.statistic.value] * size, [str(entry.n)] * size, grid, values, ref
 
 
 def _cmd_simulate_curves(args: argparse.Namespace) -> int:
@@ -424,12 +439,16 @@ def _cmd_simulate_curves(args: argparse.Namespace) -> int:
         grid_size=args.grid_size,
         threads=args.threads,
     )
+    # Both files share each curve's grid, so it is formatted once.
+    fmt = _float_format(args.full_precision)
+    grids = [list(_cells(e.density.grid, fmt)) for e in entries]
     _write_csv(density_path, ["statistic", "n", "grid", "density", "ref_density"],
-               (_curve_block(e, e.density, e.ref_density) for e in entries),
+               (_curve_block(e, g, e.density.values, e.ref_density)
+                for e, g in zip(entries, grids)),
                args.full_precision)
     try:
         _write_csv(cdf_path, ["statistic", "n", "grid", "cdf", "ref_cdf"],
-                   (_curve_block(e, e.cdf, e.ref_cdf) for e in entries),
+                   (_curve_block(e, g, e.cdf.values, e.ref_cdf) for e, g in zip(entries, grids)),
                    args.full_precision)
     except BaseException:
         density_path.unlink(missing_ok=True)

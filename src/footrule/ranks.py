@@ -114,18 +114,23 @@ def _first_repeat(vals: np.ndarray) -> TiesError:
 def _rank_rows(values: np.ndarray):
     """Ranks 1..n of each row (last axis), and a per-row tie flag.
 
-    One sort per row: the ranks are scattered through the sort order
-    (the inverse permutation). Distinct values have one sort order, so
-    numpy's default (unstable, SIMD) argsort gives the same ranks as a
-    stable one; the ranks are the true ranks only where the tie flag is
-    False.
+    One sort per row. Its order, plus each row's offset into the
+    flattened batch (none for a single row), indexes the flat values
+    once to read the sorted row for the tie scan, and once to scatter
+    the ranks (the inverse permutation). Distinct values have one sort
+    order, so numpy's default (unstable, SIMD) argsort gives the same
+    ranks as a stable one; the ranks are the true ranks only where the
+    tie flag is False.
     """
     order = np.argsort(values, axis=-1)
-    sv = np.sort(values, axis=-1)
+    n = order.shape[-1]
+    if order.size != n:
+        order += np.arange(0, order.size, n).reshape(order.shape[:-1] + (1,))
+    sv = values.ravel()[order]
     tied = (sv[..., 1:] == sv[..., :-1]).any(axis=-1)
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
-    return ranks, tied
+    ranks = np.empty(order.size, dtype=order.dtype)
+    ranks[order] = np.arange(1, n + 1)
+    return ranks.reshape(order.shape), tied
 
 
 def _displacement(r: np.ndarray, s: np.ndarray):

@@ -9,7 +9,6 @@ fully linearized form whose summands are independent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,25 +76,30 @@ def _hajek_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _abs_diff_double_sum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sum_i sum_j |u_i - v_j| per row, via sorting and prefix sums.
 
-    k_i = #{j : v_j <= u_i} is counted as defined: one right-sided
-    searchsorted of every row's sorted u among every row's sorted v, on
-    complex keys (row index, value). numpy orders complex values by real
-    part, then imaginary part, so the keys are exact for any values and
-    any number of rows, ties included. The counts go back to u's input
-    order, so the per-u terms are summed in that order.
+    k_i = #{j : v_j <= u_i} is counted by one integer sort per row of 2n
+    keys: v's float64 bit patterns shifted left by one, and u's shifted
+    with the low bit set. For floats in [0, 1] the bit patterns sort as
+    the values do, the shift drops the sign bit that only -0.0 carries,
+    and the low bit puts each u after every v equal to it. The i-th
+    smallest u's k is then its key's position in the sorted row less i;
+    equal keys are equal values, so no order among them can change k.
+    The counts go back to u's input order, so the per-u terms are summed
+    in that order.
     """
     n = v.shape[-1]
     sv = np.sort(v, axis=-1)
     prefix = np.zeros(v.shape[:-1] + (n + 1,))
     np.cumsum(sv, axis=-1, out=prefix[..., 1:])
     order = np.argsort(u, axis=-1)
-    lead = v.shape[:-1] + (1,)
-    keys = np.empty((2,) + v.shape, dtype=complex)
-    keys.real = np.arange(math.prod(lead)).reshape(lead)
-    keys.imag[0] = sv
-    keys.imag[1] = np.take_along_axis(u, order, axis=-1)
-    at = np.searchsorted(keys[0].ravel(), keys[1].ravel(), side="right").reshape(v.shape)
-    at -= np.arange(0, at.size, n).reshape(lead)
+    keys = np.empty(v.shape[:-1] + (2 * n,), dtype=np.uint64)
+    np.left_shift(v.view(np.uint64), 1, out=keys[..., :n])
+    np.left_shift(u.view(np.uint64), 1, out=keys[..., n:])
+    keys[..., n:] |= 1
+    keys.sort(axis=-1)
+    # Row r's i-th smallest u has its key at flat position 2n*r + p, and
+    # k = p - i. (numpy finds nonzero bools several times faster than ints.)
+    at = np.flatnonzero((keys & 1).astype(bool)).reshape(v.shape)
+    at -= np.arange(keys.size).reshape(keys.shape)[..., :n]
     k = np.empty_like(at)
     np.put_along_axis(k, order, at, axis=-1)
     prefix_k = np.take_along_axis(prefix, k, axis=-1)

@@ -68,9 +68,10 @@ def abs_diff_double_sum_stable(u, v):
     """sum_i sum_j |u_i - v_j| per row, merged by one stable argsort.
 
     The reference for the double-sum kernel, which counts k_i = #{j :
-    v_j <= u_i} with a searchsorted instead: here k_i is u_i's position
-    in the stable sort of [sorted v, u] less the u values placed before
-    it. The prefix sums and per-u terms are the kernel's, in its order.
+    v_j <= u_i} with an integer sort of bit-pattern keys instead: here
+    k_i is u_i's position in the stable sort of [sorted v, u] less the u
+    values placed before it. The prefix sums and per-u terms are the
+    kernel's, in its order.
     """
     n = v.shape[-1]
     sv = np.sort(v, axis=-1)

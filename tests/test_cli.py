@@ -359,7 +359,8 @@ class TestStatReader:
         assert capsys.readouterr().err == "footrule: row 2001: NaN or infinite value\n"
 
     def test_holds_floats_not_records(self, tmp_path):
-        # Two float64 cells a row, with headroom for np.fromiter's growth.
+        # Two float64 cells a row, in one buffer grown block by block, plus
+        # one block's text and rows; no second copy of the values.
         rows = 100_000
         data = tmp_path / "big.csv"
         data.write_bytes(b"".join(b"%d.25,%d.5\n" % (i, rows - i) for i in range(rows)))
@@ -370,7 +371,7 @@ class TestStatReader:
         finally:
             tracemalloc.stop()
         assert sample.n == rows
-        assert peak < 2.5 * 16 * rows
+        assert peak < 1.75 * 16 * rows
 
 
 def test_main_reuses_one_parser(tmp_path, monkeypatch, capsys):
@@ -580,6 +581,28 @@ def test_block_writer_matches_row_writer(tmp_path_factory, data, full_precision)
     with contextlib.redirect_stdout(out):
         cli._write_csv(None, header, iter(blocks), full_precision)
     assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+def test_block_text_formats_each_bit_pattern_once(full_precision):
+    # Repeated values, -0.0 beside 0.0, all-distinct columns and a strided
+    # one: the bytes are those of formatting every cell, and `fmt` runs once
+    # per distinct bit pattern.
+    rng = np.random.default_rng(8)
+    repeated = rng.choice(rng.random(7), 200)
+    fmt = cli._float_format(full_precision)
+    for column in (repeated, np.array([0.0, -0.0, 1.5, -0.0, 0.0, 1.5]),
+                   rng.random(50), repeated[::-3], np.array([-0.0])):
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return fmt(value)
+
+        text = cli._block_text((column, column[::-1]), counting)
+        cells = list(map(fmt, column.tolist()))
+        assert text == "".join(f"{a},{b}\n" for a, b in zip(cells, cells[::-1]))
+        assert len(calls) == 2 * len(set(column.view(np.uint64).tolist()))
 
 
 class TestSimulateCommands:

@@ -9,6 +9,7 @@ from footrule.ranks import (
     EXACT_MAX_N,
     ExactNullDistribution,
     PairedSample,
+    _rank_rows,
     compute_ranks,
     enumerate_null_distribution,
     footrule_coefficient,
@@ -101,6 +102,28 @@ class TestComputeRanks:
         rows = np.random.default_rng(3).random((50, 17))
         for row in rows:
             assert compute_ranks(row).tolist() == (np.argsort(np.argsort(row)) + 1).tolist()
+
+    def test_rank_rows_match_double_argsort_per_row(self):
+        # Batches with and without ties, a strided slice as the engine
+        # passes, one row and a 1-D row: an untied row's ranks are its
+        # stable double argsort plus one, and the flag marks each tied row.
+        rng = np.random.default_rng(17)
+        untied = rng.random((40, 13))
+        tied = untied.copy()
+        tied[::2, 3] = tied[::2, 9]
+        tied[1::4, 0] = tied[1::4, 1]
+        block = rng.random((40, 3, 26))
+        block[::3, 1, 5] = block[::3, 1, 11]
+        for values in (untied, tied, tied[:, ::-1], block[:, 1, :13], tied[:1], tied[0]):
+            ranks, flags = _rank_rows(values)
+            assert ranks.shape == values.shape
+            rows, ranks = np.atleast_2d(values), np.atleast_2d(ranks)
+            expected = [len(np.unique(row)) < len(row) for row in rows]
+            assert np.atleast_1d(flags).tolist() == expected
+            for row, r, flag in zip(rows, ranks, expected):
+                if not flag:
+                    stable = np.argsort(np.argsort(row, kind="stable"), kind="stable") + 1
+                    assert r.tolist() == stable.tolist()
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteError):

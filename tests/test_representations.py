@@ -57,7 +57,10 @@ class TestDoubleSumForm:
         # lattice with u one ulp above v, the ends 0.0 and 1.0 with -0.0
         # beside 0.0, u values repeated within a row, and a batch of more
         # rows than the engine draws at once at n = 2; each runs as a batch
-        # and row by row.
+        # and row by row. So do subnormals (5e-324 among them), rows of 1.0
+        # and the float below it, rows in which every value is equal, and
+        # strided inputs: reversed rows, and the u and v halves of one
+        # statistic's slice of a (rows, 3, 2n) block, as the engine passes.
         rng = np.random.default_rng(n)
         rows = 300
         u, v = rng.random((rows, n)), rng.random((rows, n))
@@ -71,10 +74,22 @@ class TestDoubleSumForm:
         small = rng.random((rows, n)) ** 40
         big = rng.random((2, 3000, n))
         big[0, :, 0] = big[1, :, -1]
+        tiny = rng.random((2, rows, n)) * 1e-310
+        tiny[:, ::2, 0] = 5e-324
+        tiny[1, 1::2, -1] = tiny[0, 1::2, 0]
+        same = np.repeat(rng.random((rows, 1)), n, axis=1)
+        block = rng.random((rows, 3, 2 * n))
+        block[:, 1, 0] = block[:, 1, -1]
+        engine = block[:, 1]
         for a, b in ((np.nextafter(small, 1), small),
                      tuple(rng.choice([-0.0, 0.0, 1.0], size=(2, rows, n))),
                      (np.take_along_axis(u, rng.integers(0, 2, (rows, n)), axis=1), v),
-                     tuple(big)):
+                     tuple(big),
+                     tuple(tiny),
+                     tuple(rng.choice([1.0, np.nextafter(1.0, 0)], size=(2, rows, n))),
+                     (same, same),
+                     (u[:, ::-1], v),
+                     (engine[:, :n], engine[:, n:])):
             for x, y in ((a, b), *zip(a, b)):
                 assert _abs_diff_double_sum(x, y).tobytes() == \
                     abs_diff_double_sum_stable(x, y).tobytes()
