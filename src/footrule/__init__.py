@@ -26,7 +26,6 @@ from .ranks import (
     ExactNullDistribution,
     FootruleResult,
     PairedSample,
-    compute_ranks,
     enumerate_null_distribution,
     footrule_coefficient,
     max_distance,
@@ -77,7 +76,6 @@ __all__ = [
     "SummaryStats",
     "TiesError",
     "UniformPairs",
-    "compute_ranks",
     "double_sum_representation",
     "ecdf_curve",
     "enumerate_null_distribution",

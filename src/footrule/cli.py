@@ -297,7 +297,7 @@ def _read_paired_csv(path: str, has_header: bool) -> tuple[PairedSample, list[in
 def _tie_error(sample: PairedSample, skipped: list[int], exc: TiesError) -> CliError:
     """The `stat` message for a tie, naming its margin and csv record numbers."""
     i, j = exc.positions
-    # x is ranked first, so a tie reported for y means x has no ties.
+    # x's repeat is raised first, so a tie reported for y means x has no ties.
     label = "x" if sample.x[i] == sample.x[j] else "y"
     return CliError(
         f"tied {label} value {exc.value!r} in rows {_record_number(i, skipped)} "

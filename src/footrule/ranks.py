@@ -64,35 +64,6 @@ class FootruleResult:
     phi: float
 
 
-def compute_ranks(values) -> np.ndarray:
-    """Rank a sequence of reals, smallest value getting rank 1.
-
-    Args:
-        values: sequence of at least two distinct finite reals. Equal
-            values raise TiesError: the theory assumes continuous data.
-
-    Returns:
-        int64 array that is a permutation of 1..n.
-    """
-    vals = np.atleast_1d(np.asarray(values, dtype=float))
-    if vals.ndim != 1:
-        raise ValueError("values must be one-dimensional")
-    if len(vals) < 2:
-        raise SampleSizeError("need at least 2 values to rank")
-    if not np.isfinite(vals).all():
-        raise NonFiniteError("values contain NaN or infinite entries")
-
-    return _tie_free_ranks(vals)
-
-
-def _tie_free_ranks(vals: np.ndarray) -> np.ndarray:
-    """Ranks of one unvalidated row of floats; TiesError on equal values."""
-    ranks, tied = _rank_rows(vals)
-    if tied:
-        raise _first_repeat(vals)
-    return ranks
-
-
 def _first_repeat(vals: np.ndarray) -> TiesError:
     """TiesError for the first value, in input order, equal to an earlier one.
 
@@ -133,34 +104,36 @@ def _rank_rows(values: np.ndarray):
     return ranks.reshape(order.shape), tied
 
 
-def _displacement(r: np.ndarray, s: np.ndarray):
-    """D = sum |r - s| and the coefficient 1 - 3D/(n^2 - 1), per row."""
-    n = r.shape[-1]
-    d = np.abs(r - s).sum(axis=-1)
-    return d, 1.0 - 3.0 * d / (n * n - 1)
+def _footrule_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """D, the coefficient and each margin's tie flag, per paired row (last axis).
 
-
-def _footrule_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient of each paired row of x and y (last axis), and a tie flag.
-
-    The batched form of `footrule_coefficient`, without validation. A
-    flagged row's value is meaningless: the caller raises or, in the
+    Ranks both margins and forms D = sum |r - s| and 1 - 3D/(n^2 - 1).
+    Both `footrule_coefficient` (one row) and the simulation engine
+    (batches) call it, without validation. A row whose x or y flag is
+    set has meaningless D and coefficient: the caller raises or, in the
     simulation engine, draws that row again.
     """
     r, x_tied = _rank_rows(x)
     s, y_tied = _rank_rows(y)
-    return _displacement(r, s)[1], x_tied | y_tied
+    n = r.shape[-1]
+    d = np.abs(r - s).sum(axis=-1)
+    return d, 1.0 - 3.0 * d / (n * n - 1), x_tied, y_tied
 
 
 def footrule_coefficient(sample: PairedSample) -> FootruleResult:
     """Rank both margins and evaluate the footrule coefficient.
 
-    Raises TiesError on tied data. n = 2 is allowed but degenerate: the
-    value is either 1 or -1, the latter below the large-sample floor of
-    -1/2. The sample is validated on construction, so its margins are
-    ranked without `compute_ranks`' checks.
+    Raises TiesError on tied data, naming the first repeat of x if x is
+    tied and else that of y. n = 2 is allowed but degenerate: the value
+    is either 1 or -1, the latter below the large-sample floor of -1/2.
+    The sample is validated on construction, so this is the one-row case
+    of `_footrule_rows`.
     """
-    d, phi = _displacement(_tie_free_ranks(sample.x), _tie_free_ranks(sample.y))
+    d, phi, x_tied, y_tied = _footrule_rows(sample.x, sample.y)
+    if x_tied:
+        raise _first_repeat(sample.x)
+    if y_tied:
+        raise _first_repeat(sample.y)
     return FootruleResult(n=sample.n, distance=int(d), phi=float(phi))
 
 

@@ -228,7 +228,8 @@ def _statistic_rows(vec: np.ndarray, n: int,
     """
     u, v = vec[..., :n], vec[..., n:]
     if statistic is Statistic.FOOTRULE:
-        return _footrule_rows(u, v)
+        _, phi, x_tied, y_tied = _footrule_rows(u, v)
+        return phi, x_tied | y_tied
     if statistic is Statistic.DOUBLE_SUM:
         return _double_sum_rows(u, v), False
     return _hajek_rows(u, v), False

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,8 +170,15 @@ def ks_two_sample(a, b) -> KsOutcome:
     return KsOutcome(statistic=stat, p_value=kolmogorov_sf(math.sqrt(m * n / (m + n)) * stat))
 
 
-def _finite(samples) -> np.ndarray:
+def _one_dimensional(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"samples must be a 1-D array, got {x.ndim} dimensions")
+    return x
+
+
+def _finite(samples) -> np.ndarray:
+    x = _one_dimensional(samples)
     if not np.isfinite(x).all():
         raise NonFiniteError("samples must be finite")
     return x
@@ -204,8 +212,8 @@ def gaussian_kde(samples, grid_size: int = 512) -> CurveGrid:
     bandwidth, capturing over 99% of the smoothed mass.
     """
     x = _finite(samples)
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+    if not isinstance(grid_size, numbers.Integral) or grid_size < 2:
+        raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
     b = bandwidth(x)
     lo = float(np.min(x)) - 3.0 * b
     hi = float(np.max(x)) + 3.0 * b
@@ -246,7 +254,7 @@ def ecdf_curve(samples, grid) -> CurveGrid:
 
 def summarize(estimates, true_value: float) -> SummaryStats:
     """Mean, unbiased variance, bias, and RMSE of estimates versus truth."""
-    e = np.asarray(estimates, dtype=float)
+    e = _one_dimensional(estimates)
     m = len(e)
     if m < 2:
         raise SampleSizeError("summary needs at least 2 estimates")

@@ -10,7 +10,6 @@ from footrule.ranks import (
     ExactNullDistribution,
     PairedSample,
     _rank_rows,
-    compute_ranks,
     enumerate_null_distribution,
     footrule_coefficient,
     max_distance,
@@ -70,16 +69,30 @@ def many_duplicates(n):
     return pytest.param(values, *first_repeat_by_scan(values), id=f"duplicates-n{n}")
 
 
+def ranks_of(values):
+    """Ranks of one tie-free 1-D row through `_rank_rows`."""
+    ranks, tied = _rank_rows(np.asarray(values, dtype=float))
+    assert not tied
+    return ranks.tolist()
+
+
+def untied_like(values):
+    return np.arange(len(values), dtype=float)
+
+
 class TestComputeRanks:
+    # Ranking cases: rank values through `_rank_rows`, ties through
+    # `footrule_coefficient` on either margin, input checks through
+    # `PairedSample`.
     def test_by_inspection(self):
-        assert compute_ranks([2.5, 1.1, 7.0]).tolist() == [2, 1, 3]
+        assert ranks_of([2.5, 1.1, 7.0]) == [2, 1, 3]
 
     def test_sorted_input_identity(self):
-        assert compute_ranks([1.0, 2.0, 3.0, 4.0]).tolist() == [1, 2, 3, 4]
+        assert ranks_of([1.0, 2.0, 3.0, 4.0]) == [1, 2, 3, 4]
 
     def test_ties_rejected(self):
         with pytest.raises(TiesError):
-            compute_ranks([1.0, 1.0, 2.0])
+            footrule_coefficient(PairedSample([1.0, 2.0, 3.0], [1.0, 1.0, 2.0]))
 
     @pytest.mark.parametrize("values, value, positions", [
         ([1.0, 1.0, 2.0], 1.0, (0, 1)),
@@ -93,15 +106,18 @@ class TestComputeRanks:
         many_duplicates(100_000),
     ])
     def test_tie_names_first_repeat(self, values, value, positions):
-        with pytest.raises(TiesError) as info:
-            compute_ranks(values)
-        assert repr(info.value.value) == repr(value)
-        assert info.value.positions == positions
+        assert (value, positions) == first_repeat_by_scan(values)
+        other = untied_like(values)
+        for sample in (PairedSample(values, other), PairedSample(other, values)):
+            with pytest.raises(TiesError) as info:
+                footrule_coefficient(sample)
+            assert repr(info.value.value) == repr(value)
+            assert info.value.positions == positions
 
     def test_single_sort_ranks_match_double_argsort(self):
         rows = np.random.default_rng(3).random((50, 17))
         for row in rows:
-            assert compute_ranks(row).tolist() == (np.argsort(np.argsort(row)) + 1).tolist()
+            assert ranks_of(row) == (np.argsort(np.argsort(row)) + 1).tolist()
 
     def test_rank_rows_match_double_argsort_per_row(self):
         # Batches with and without ties, a strided slice as the engine
@@ -126,27 +142,30 @@ class TestComputeRanks:
                     assert r.tolist() == stable.tolist()
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(NonFiniteError):
-            compute_ranks([1.0, math.nan, 2.0])
-        with pytest.raises(NonFiniteError):
-            compute_ranks([1.0, math.inf])
+        for bad in ([1.0, math.nan, 2.0], [1.0, math.inf, 2.0]):
+            with pytest.raises(NonFiniteError):
+                PairedSample(bad, [1.0, 2.0, 3.0])
+            with pytest.raises(NonFiniteError):
+                PairedSample([1.0, 2.0, 3.0], bad)
 
     def test_too_short(self):
         with pytest.raises(SampleSizeError):
-            compute_ranks([1.0])
+            PairedSample([1.0], [2.0])
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(2024)
         for n in (2, 3, 7, 25, 50):
             values = rng.normal(size=n)
-            assert compute_ranks(values).tolist() == rank_by_counting(values)
+            assert ranks_of(values) == rank_by_counting(values)
 
 
 class TestRankVectors:
     def test_from_sample(self):
         sample = PairedSample([2.5, 1.1, 7.0], [1.0, 2.0, 0.5])
-        assert compute_ranks(sample.x).tolist() == [2, 1, 3]
-        assert compute_ranks(sample.y).tolist() == [2, 3, 1]
+        assert ranks_of(sample.x) == [2, 1, 3]
+        assert ranks_of(sample.y) == [2, 3, 1]
+        # |2 - 2| + |1 - 3| + |3 - 1|
+        assert footrule_coefficient(sample).distance == 4
 
     def test_double_sum_identity(self):
         # sum_ij |r_i - s_j| = n(n^2-1)/3 for every pair of permutations
@@ -206,6 +225,17 @@ class TestFootruleCoefficient:
     def test_ties_propagate(self):
         with pytest.raises(TiesError):
             footrule_coefficient(PairedSample([1.0, 1.0, 2.0], [1.0, 2.0, 3.0]))
+
+    def test_both_margins_tied_names_x(self):
+        # y repeats first in input order, but x's repeat is the one raised
+        with pytest.raises(TiesError) as info:
+            footrule_coefficient(PairedSample([1.0, 2.0, 1.0, 3.0], [5.0, 5.0, 6.0, 7.0]))
+        assert (info.value.value, info.value.positions) == (1.0, (0, 2))
+
+    def test_only_y_tied_names_y(self):
+        with pytest.raises(TiesError) as info:
+            footrule_coefficient(PairedSample([1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 5.0, 7.0]))
+        assert (info.value.value, info.value.positions) == (5.0, (0, 2))
 
     def test_n2_degenerate_values(self):
         up = footrule_coefficient(PairedSample([0.0, 1.0], [0.0, 1.0]))

@@ -424,6 +424,19 @@ class TestBatchedEngine:
         assert redraws == 1
         assert values.tolist() == [value for value, _ in expected]
 
+    def test_tied_v_row_goes_to_scalar_path(self, monkeypatch):
+        # v_0 == v_1 in replication 5 at n = 2: only the V margin ties
+        head = self._head(5, 5, _block(Statistic.FOOTRULE, 2))
+        head[3] = head[2]
+        expected = [draw_value(StreamKey(5, rep), 2, Statistic.FOOTRULE,
+                               head if rep == 5 else None) for rep in range(8)]
+        assert [redraws for _, redraws in expected] == [0] * 5 + [1] + [0] * 2
+        redrawn = self._force(monkeypatch, 5, _block(Statistic.FOOTRULE, 2), {3: head[2]})
+        values, redraws = _draw_statistics(5, 2, 8, 1)[Statistic.FOOTRULE]
+        assert redrawn == [5]
+        assert redraws == 1
+        assert values.tolist() == [value for value, _ in expected]
+
     def test_cli_notes_tie_redraws(self, monkeypatch, capsys, tmp_path):
         head = self._head(5, 5, _block(Statistic.FOOTRULE, 9))
         self._force(monkeypatch, 5, _block(Statistic.FOOTRULE, 9), {1: head[0]})
@@ -494,15 +507,17 @@ class TestBatchedEngine:
         u, v = rng.random((rows, n)), rng.random((rows, n))
         if tie_row is not None and tie_row < rows:
             v[tie_row, -1] = v[tie_row, 0]
-        phi, tied = _footrule_rows(u, v)
+        d, phi, x_tied, y_tied = _footrule_rows(u, v)
         double_sum, hajek = _double_sum_rows(u, v), _hajek_rows(u, v)
+        assert not x_tied.any()
+        assert y_tied.tolist() == [i == tie_row for i in range(rows)]
         for i in range(rows):
-            if tied[i]:
-                assert i == tie_row
+            if y_tied[i]:
                 with pytest.raises(TiesError):
                     footrule_coefficient(PairedSample(u[i], v[i]))
             else:
-                assert phi[i] == footrule_coefficient(PairedSample(u[i], v[i])).phi
+                result = footrule_coefficient(PairedSample(u[i], v[i]))
+                assert (d[i], phi[i]) == (result.distance, result.phi)
                 assert phi[i] == reference_footrule(u[i], v[i])
             pairs = UniformPairs(u[i], v[i])
             assert double_sum[i] == double_sum_representation(pairs)

@@ -319,6 +319,11 @@ class TestGaussianKde:
         assert curve.grid.tobytes() == grid.tobytes()
         assert curve.values.tobytes() == dens.tobytes()
 
+    @pytest.mark.parametrize("grid_size", [8.5, 8.0, 1])
+    def test_grid_size_must_be_an_integer_of_at_least_two(self, grid_size):
+        with pytest.raises(ValueError, match="grid_size must be an integer >= 2"):
+            gaussian_kde([0.0, 1.0, 3.0], grid_size=grid_size)
+
     def test_bandwidth_rule_by_hand(self):
         x = np.array([0.0, 1.0, 2.0, 4.0, 8.0])
         sd = np.std(x, ddof=1)
@@ -366,6 +371,25 @@ class TestEcdfCurve:
     def test_non_finite_sample_rejected(self, bad):
         with pytest.raises(NonFiniteError, match="samples must be finite"):
             ecdf_curve([bad, 1.0, 2.0], [0.0, 1.0])
+
+
+SAMPLE_TAKERS = {
+    "summarize": lambda s: summarize(s, 0.0),
+    "bandwidth": bandwidth,
+    "ks_one_sample": lambda s: ks_one_sample(s, lambda xs: np.full(len(xs), 0.5)),
+    "ks_two_sample-a": lambda s: ks_two_sample(s, [0.1, 0.2, 0.3]),
+    "ks_two_sample-b": lambda s: ks_two_sample([0.1, 0.2, 0.3], s),
+    "ecdf_curve": lambda s: ecdf_curve(s, [0.0, 1.0]),
+    "gaussian_kde": lambda s: gaussian_kde(s, 8),
+}
+
+
+@pytest.mark.parametrize("take", SAMPLE_TAKERS.values(), ids=SAMPLE_TAKERS.keys())
+@pytest.mark.parametrize("sample", [np.arange(12.0).reshape(3, 4), 3.0],
+                         ids=["two-dimensional", "zero-dimensional"])
+def test_samples_must_be_one_dimensional(take, sample):
+    with pytest.raises(ValueError, match="samples must be a 1-D array"):
+        take(sample)
 
 
 class TestSummarize:
