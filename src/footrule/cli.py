@@ -60,18 +60,14 @@ def _float_format(full_precision: bool):
 def _cells(column, fmt):
     """The CSV cells of one column.
 
-    A float64 array is formatted with `fmt` once per distinct bit pattern
-    (so -0.0 and 0.0 stay apart), and a column with all values distinct
-    in one pass; any other column (ints, exact counts, fixed labels,
-    cells already formatted) with `str`.
+    A float64 array is formatted with `fmt` cell by cell, in one pass
+    (no table of distinct values: only ECDF columns repeat, and the sort
+    that found their repeats saved no time); any other column (ints,
+    exact counts, fixed labels, cells already formatted) with `str`.
     """
-    if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
-        return map(str, column)
-    bits, at = np.unique(column.view(np.uint64), return_inverse=True)
-    if len(bits) == len(column):
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
         return map(fmt, column.tolist())
-    text = list(map(fmt, bits.view(np.float64).tolist()))
-    return map(text.__getitem__, at.tolist())
+    return map(str, column)
 
 
 def _block_text(block, fmt) -> str:
@@ -147,10 +143,10 @@ def _decode_message(exc: UnicodeDecodeError, start: int) -> str:
 def _text_blocks(handle):
     """The UTF-8 text of a binary file, in blocks that end at a line break.
 
-    A block with undecodable bytes is cut before the line that holds
-    them; the error comes on the next call, once the caller has used
-    every earlier line, and its positions count from the start of the
-    input.
+    One UTF-8 byte-order mark that starts the input is dropped. A block
+    with undecodable bytes is cut before the line that holds them; the
+    error comes on the next call, once the caller has used every earlier
+    line, and its positions count from the start of the input.
     """
     start = 0   # input position of the first byte in `parts`
     parts = []  # bytes read and not yet decoded
@@ -164,6 +160,8 @@ def _text_blocks(handle):
         parts.append(block[:cut])
         data = b"".join(parts)
         parts = [block[cut:]]
+        if not start and data.startswith(b"\xef\xbb\xbf"):
+            data, start = data[3:], 3
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:

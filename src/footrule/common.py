@@ -1,8 +1,9 @@
-"""Shared enums and exception types."""
+"""Shared enums, exception types and the integer check."""
 
 from __future__ import annotations
 
 import enum
+import numbers
 
 
 class Statistic(enum.Enum):
@@ -50,3 +51,9 @@ class DegenerateSampleError(ValueError):
 
 class BadVarianceError(ValueError):
     """Variance parameter is not strictly positive."""
+
+
+def _check_integer(name: str, value: int) -> None:
+    """Reject a float or any other non-integer; Python and numpy integers pass."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .common import NonFiniteError, SampleSizeError, TiesError
+from .common import NonFiniteError, SampleSizeError, TiesError, _check_integer
 
 EXACT_MAX_N = 100
 
@@ -214,6 +214,7 @@ def enumerate_null_distribution(n: int) -> ExactNullDistribution:
     carry into each other. Exact integer arithmetic throughout, O(n^2)
     big-int operations; capped at n = EXACT_MAX_N.
     """
+    _check_integer("sample size", n)
     if not 2 <= n <= EXACT_MAX_N:
         raise SampleSizeError(f"exact null law needs 2 <= n <= {EXACT_MAX_N}, got {n}")
     width = math.factorial(n).bit_length() // 8 + 1

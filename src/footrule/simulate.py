@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import Statistic, TiesError
+from .common import Statistic, TiesError, _check_integer
 from .moments import limiting_variance
 # footrule_coefficient is unused here but stays bound: bench/test_bench.py
 # checks on this name that its tracer rebinds functions imported by name.
@@ -106,13 +105,6 @@ class StreamKey:
             counter=np.array([0, 0, 0, block], dtype=np.uint64),
         )
         return np.random.Generator(bitgen)
-
-
-def _check_integer(name: str, value: int) -> None:
-    """Reject a float or any other non-integer, which would be truncated or
-    fail only after drawing; Python and numpy integers pass."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_word(name: str, value: int) -> None:

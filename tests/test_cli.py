@@ -160,11 +160,15 @@ class TestStatCommand:
 
 
 def decoded_lines(data):
-    """The lines of `data`, decoded one at a time; decode errors count from byte 0."""
+    """The lines of `data`, decoded one at a time; decode errors count from byte 0.
+
+    One byte-order mark at the very start of `data` is dropped.
+    """
     position = 0
     for line in data.splitlines(keepends=True):
         try:
-            yield line.decode("utf-8")
+            text = line.decode("utf-8")
+            yield text.removeprefix("\ufeff") if position == 0 else text
         except UnicodeDecodeError as exc:
             raise UnicodeDecodeError(exc.encoding, data, position + exc.start,
                                      position + exc.end, exc.reason) from None
@@ -174,11 +178,12 @@ def decoded_lines(data):
 def reference_read(path, has_header):
     """The row-wise `stat` reader the streaming one replaced: (xs, ys) or CliError.
 
-    Kept as a test oracle, with three changes: tie messages number csv
+    Kept as a test oracle, with four changes: tie messages number csv
     records, counting blank records, like every other message; the
-    header is the first non-blank record, not always record 1; and lines
+    header is the first non-blank record, not always record 1; lines
     are decoded one at a time, so undecodable bytes are found only after
-    every earlier record.
+    every earlier record; and a byte-order mark that starts the input is
+    dropped.
     """
     xs, ys, numbers = [], [], []
     header_pending = has_header
@@ -334,6 +339,23 @@ class TestStatReader:
     # A quoted field spans blocks; a decode error inside one ends the input there.
     @example(data=b'1,"2\n"\n3,4\n5,6\n', header=False, block=1, limit=DEFAULT_FIELD_LIMIT)
     @example(data=b'nan,"2\n\xff,1\n', header=False, block=1 << 16, limit=DEFAULT_FIELD_LIMIT)
+    # A byte-order mark starts the input: dropped before the first record, with
+    # or without a header; a decode error after it still counts from byte 0.
+    @example(data=b"\xef\xbb\xbf0.1,0.5\n0.7,0.2\n0.4,0.9\n", header=False, block=1,
+             limit=DEFAULT_FIELD_LIMIT)
+    @example(data=b"\xef\xbb\xbf0.1,0.5\n0.7,0.2\n0.4,0.9\n", header=False, block=1 << 16,
+             limit=DEFAULT_FIELD_LIMIT)
+    @example(data=b"\xef\xbb\xbfx,y\n0.1,0.5\n0.7,0.2\n", header=True, block=1,
+             limit=DEFAULT_FIELD_LIMIT)
+    @example(data=b"\xef\xbb\xbfx,y\n0.1,0.5\n0.7,0.2\n", header=True, block=1 << 16,
+             limit=DEFAULT_FIELD_LIMIT)
+    @example(data=b"\xef\xbb\xbf0.1,0.5\n0.7,0.2\n\xff,1\n", header=False, block=1 << 16,
+             limit=DEFAULT_FIELD_LIMIT)
+    @example(data=b"\xef\xbb\xbf\xff,1\n", header=False, block=1, limit=DEFAULT_FIELD_LIMIT)
+    # Only one mark is dropped, and only at the very start.
+    @example(data=b"\xef\xbb\xbf\xef\xbb\xbf1,2\n3,4\n", header=False, block=1 << 16,
+             limit=DEFAULT_FIELD_LIMIT)
+    @example(data=b"1,2\n\xef\xbb\xbf3,4\n", header=False, block=1, limit=DEFAULT_FIELD_LIMIT)
     def test_matches_reference(self, tmp_path_factory, data, header, block, limit):
         path = tmp_path_factory.getbasetemp() / "fuzz.csv"
         path.write_bytes(data)
@@ -357,6 +379,17 @@ class TestStatReader:
         data.write_bytes(lines + b"nan,1\n" + lines.replace(b"\n", b".5\n") + b"\xff,1\n")
         assert main(["stat", str(data)]) == 2
         assert capsys.readouterr().err == "footrule: row 2001: NaN or infinite value\n"
+
+    def test_reads_a_leading_byte_order_mark(self, tmp_path, capsys):
+        # Spreadsheet "CSV UTF-8" exports start with one.
+        rows = b"0.1,0.5\n0.7,0.2\n0.4,0.9\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + rows)
+        assert main(["stat", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert main(["stat", str(marked)]) == 0
+        assert capsys.readouterr() == expected
 
     def test_holds_floats_not_records(self, tmp_path):
         # Two float64 cells a row, in one buffer grown block by block, plus
@@ -584,25 +617,19 @@ def test_block_writer_matches_row_writer(tmp_path_factory, data, full_precision)
 
 
 @pytest.mark.parametrize("full_precision", [False, True])
-def test_block_text_formats_each_bit_pattern_once(full_precision):
-    # Repeated values, -0.0 beside 0.0, all-distinct columns and a strided
-    # one: the bytes are those of formatting every cell, and `fmt` runs once
-    # per distinct bit pattern.
+def test_block_text_formats_every_cell(full_precision):
+    # Repeated values, -0.0 beside 0.0, all-distinct columns, a strided one,
+    # a lone -0.0 and an ECDF-like column (512 cells, 170 distinct steps):
+    # the bytes are those of formatting every cell on its own.
     rng = np.random.default_rng(8)
     repeated = rng.choice(rng.random(7), 200)
+    ecdf = np.arange(512) * 170 // 512 / 170.0
     fmt = cli._float_format(full_precision)
     for column in (repeated, np.array([0.0, -0.0, 1.5, -0.0, 0.0, 1.5]),
-                   rng.random(50), repeated[::-3], np.array([-0.0])):
-        calls = []
-
-        def counting(value):
-            calls.append(value)
-            return fmt(value)
-
-        text = cli._block_text((column, column[::-1]), counting)
-        cells = list(map(fmt, column.tolist()))
+                   rng.random(50), repeated[::-3], np.array([-0.0]), ecdf):
+        text = cli._block_text((column, column[::-1]), fmt)
+        cells = [fmt(float(value)) for value in column]
         assert text == "".join(f"{a},{b}\n" for a, b in zip(cells, cells[::-1]))
-        assert len(calls) == 2 * len(set(column.view(np.uint64).tolist()))
 
 
 class TestSimulateCommands:

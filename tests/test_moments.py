@@ -47,6 +47,14 @@ class TestNullMoments:
             null_variance_exact(0, Statistic.HAJEK)
         assert float(null_variance_exact(1, Statistic.HAJEK)) == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("n", [5.0, np.float64(10)], ids=["float", "numpy-float64"])
+    def test_non_integer_n_raises_value_error(self, n):
+        with pytest.raises(ValueError, match=r"^sample size must be an integer"):
+            enumerate_null_distribution(n)
+        for kind in Statistic:
+            with pytest.raises(ValueError, match=r"^sample size must be an integer"):
+                null_variance_exact(n, kind)
+
     @pytest.mark.parametrize("n", [*range(2, 41), EXACT_MAX_N])
     def test_enumeration_agrees_exactly(self, n):
         mean, var = phi_moments_exact(enumerate_null_distribution(n))
