@@ -155,6 +155,9 @@ class ExactNullDistribution:
     counts: dict[int, int] = field(repr=False)
 
     def __post_init__(self) -> None:
+        _check_integer("sample size", self.n)
+        if self.n < 2:
+            raise SampleSizeError(f"exact null law needs n >= 2, got {self.n}")
         total = sum(self.counts.values())
         if total != math.factorial(self.n):
             raise ValueError(f"counts sum to {total}, expected {self.n}!")

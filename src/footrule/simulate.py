@@ -19,7 +19,6 @@ rejected words are skipped and a tie moves on to the next 2n uniforms.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -45,8 +44,6 @@ from .stats import (
     normal_pdf,
     summarize,
 )
-
-log = logging.getLogger(__name__)
 
 _UNIT = 1 << 53
 _MAX_REDRAWS = 100
@@ -364,9 +361,7 @@ def _statistic_pools(
 ) -> dict[str, np.ndarray]:
     """sqrt(n)-scaled draws of each statistic at n, by CSV label."""
     pools: dict[str, np.ndarray] = {}
-    for stat, (values, redraws) in _draw_statistics(seed, n, replications, threads).items():
-        if redraws:
-            log.info("n=%d %s: %d tie redraws", n, stat.value, redraws)
+    for stat, (values, _) in _draw_statistics(seed, n, replications, threads).items():
         values *= math.sqrt(n)
         pools[stat.value] = values
     return pools

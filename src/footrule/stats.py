@@ -50,16 +50,6 @@ class CurveGrid:
     grid: np.ndarray
     values: np.ndarray
 
-    def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.shape != values.shape or grid.ndim != 1:
-            raise ValueError("grid and values must be equal-length 1-D arrays")
-        if len(grid) > 1 and not (np.diff(grid) > 0).all():
-            raise ValueError("grid must be strictly increasing")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
 
 def normal_cdf(x: float | np.ndarray, mean: float = 0.0, variance: float = 1.0):
     """P(Z <= x) for Z ~ Normal(mean, variance), at a float or a 1-D array.
@@ -209,15 +199,19 @@ def gaussian_kde(samples, grid_size: int = 512) -> CurveGrid:
     """Gaussian-kernel density estimate on an equispaced grid.
 
     The grid spans [min - 3b, max + 3b] with b the rule-of-thumb
-    bandwidth, capturing over 99% of the smoothed mass.
+    bandwidth, capturing over 99% of the smoothed mass. A sample whose
+    spread is too small for that many distinct grid points raises
+    DegenerateSampleError, as zero spread does.
     """
     x = _finite(samples)
     if not isinstance(grid_size, numbers.Integral) or grid_size < 2:
         raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
     b = bandwidth(x)
-    lo = float(np.min(x)) - 3.0 * b
-    hi = float(np.max(x)) + 3.0 * b
-    grid = np.linspace(lo, hi, grid_size)
+    low, high = float(np.min(x)), float(np.max(x))
+    grid = np.linspace(low - 3.0 * b, high + 3.0 * b, grid_size)
+    if not (np.diff(grid) > 0).all():
+        raise DegenerateSampleError(f"sample spread {high - low:.3g} gives no strictly "
+                                    f"increasing grid of {grid_size} points")
     dens = np.zeros(grid_size)
     # Tiles of grid rows x sample chunk, in two scratch buffers reused in
     # place. Each row adds its chunk sums in chunk order, so the tiling
@@ -243,11 +237,13 @@ def gaussian_kde(samples, grid_size: int = 512) -> CurveGrid:
 
 
 def ecdf_curve(samples, grid) -> CurveGrid:
-    """Empirical CDF heights (#{x_i <= g})/n at each grid point."""
+    """Empirical CDF heights (#{x_i <= g})/n on a 1-D, NaN-free, strictly increasing grid."""
     x = np.sort(_finite(samples))
     if len(x) < 1:
         raise SampleSizeError("ECDF needs at least 1 point")
     g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or np.isnan(g).any() or not (np.diff(g) > 0).all():
+        raise ValueError("grid must be a 1-D strictly increasing array without NaN")
     values = np.searchsorted(x, g, side="right") / len(x)
     return CurveGrid(grid=g, values=values)
 

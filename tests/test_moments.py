@@ -47,6 +47,11 @@ class TestNullMoments:
             null_variance_exact(0, Statistic.HAJEK)
         assert float(null_variance_exact(1, Statistic.HAJEK)) == pytest.approx(0.1)
 
+    def test_unknown_kind_raises_type_error(self):
+        # The CSV label is not the enum member.
+        with pytest.raises(TypeError, match="unknown statistic kind: 'phi'"):
+            null_variance_exact(10, "phi")
+
     @pytest.mark.parametrize("n", [5.0, np.float64(10)], ids=["float", "numpy-float64"])
     def test_non_integer_n_raises_value_error(self, n):
         with pytest.raises(ValueError, match=r"^sample size must be an integer"):

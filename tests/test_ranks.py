@@ -257,6 +257,10 @@ class TestPairedSample:
         with pytest.raises(NonFiniteError):
             PairedSample([1.0, math.nan], [1.0, 2.0])
 
+    def test_two_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            PairedSample(np.zeros((2, 2)), np.zeros((2, 2)))
+
 
 class TestEnumeration:
     def test_n2(self):
@@ -301,6 +305,11 @@ class TestEnumeration:
             ExactNullDistribution(n=3, counts={0: 1, 3: 2, 4: 3})
         with pytest.raises(ValueError):
             ExactNullDistribution(n=3, counts={0: 3, 2: 2, 4: 1})
+        # At n = 1, phi would divide by n^2 - 1 = 0.
+        with pytest.raises(SampleSizeError, match=r"needs n >= 2, got 1$"):
+            ExactNullDistribution(n=1, counts={0: 1})
+        with pytest.raises(ValueError, match=r"^sample size must be an integer, got 2.0$"):
+            ExactNullDistribution(n=2.0, counts={0: 1, 2: 1})
 
     def test_two_sided_p_n3(self):
         dist = enumerate_null_distribution(3)

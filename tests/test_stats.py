@@ -304,6 +304,11 @@ class TestGaussianKde:
         with pytest.raises(DegenerateSampleError):
             gaussian_kde([2.0, 2.0, 2.0])
 
+    def test_spread_too_small_for_the_grid_rejected(self):
+        # A positive bandwidth, but 512 points over a few ulps cannot all differ.
+        with pytest.raises(DegenerateSampleError, match=r"sample spread 2.22e-16 .* 512 points"):
+            gaussian_kde([1.0, 1.0 + 2**-52, 1.0])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, bad):
         with pytest.raises(NonFiniteError, match="samples must be finite"):
@@ -329,6 +334,10 @@ class TestGaussianKde:
         sd = np.std(x, ddof=1)
         iqr = np.percentile(x, 75) - np.percentile(x, 25)
         assert bandwidth(x) == pytest.approx(0.9 * min(sd, iqr / 1.34) * 5 ** (-0.2))
+
+    def test_bandwidth_needs_two_points(self):
+        with pytest.raises(SampleSizeError):
+            bandwidth([1.0])
 
     def test_bandwidth_zero_iqr_falls_back_to_sd(self):
         x = [0.0] * 10 + [1.0]
@@ -361,11 +370,15 @@ class TestEcdfCurve:
         out = ecdf_curve([1.0, 2.0, 3.0, 4.0], [2.5])
         assert out.values[0] == 0.5
 
-    @pytest.mark.parametrize("grid", [[1.0, 0.0], [[0.0, 1.0]], [0.0, math.nan]],
-                             ids=["decreasing", "two-dimensional", "nan"])
+    @pytest.mark.parametrize("grid", [[1.0, 0.0], [[0.0, 1.0]], [0.0, math.nan], [math.nan]],
+                             ids=["decreasing", "two-dimensional", "nan", "lone-nan"])
     def test_bad_grid_rejected(self, grid):
         with pytest.raises(ValueError):
             ecdf_curve([1.0, 2.0], grid)
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(SampleSizeError):
+            ecdf_curve([], [0.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, bad):
