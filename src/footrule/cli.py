@@ -465,8 +465,10 @@ def _add_simulate_common(parser: argparse.ArgumentParser, default_reps: int,
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads across batches of about 2^15 random "
                              "words, each batch holding all three statistics of "
-                             "one n; an n with one batch runs inline; capped at "
-                             "the CPU count. Never changes output bytes (default 1)")
+                             "one n; the replications of one n split evenly into "
+                             "max(1, round(reps*6n/2^15)) batches; an n with one "
+                             "batch runs inline; capped at the CPU count. Never "
+                             "changes output bytes (default 1)")
     parser.add_argument("--full-precision", action="store_true",
                         help="emit shortest round-trip decimals instead of 5 places")
 

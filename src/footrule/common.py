@@ -38,7 +38,7 @@ class TiesError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """NaN or infinity in the input."""
+    """NaN or infinity in the input, or finite input whose float64 arithmetic overflows."""
 
 
 class SampleSizeError(ValueError):

@@ -48,18 +48,25 @@ from .stats import (
 _UNIT = 1 << 53
 _MAX_REDRAWS = 100
 
-# Philox4x64-10 multipliers and Weyl key increments, as in numpy's Philox,
-# shaped to broadcast over the two stacked lanes of a (2, rows, columns) array.
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+# Philox4x64-10 multipliers and Weyl key increments, as in numpy's Philox.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LOW32 = 0xFFFFFFFF
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> 32
+_WORD = (1 << 64) - 1
+# The multipliers and their 32-bit halves as uint64, shaped to broadcast over
+# the two stacked lanes of a (2, words) array; uint64 arrays wrap silently
+# where Python ints grow and uint64 scalars warn.
+_M = np.array(_PHILOX_M, dtype=np.uint64)[:, None]
+_M_LO, _M_HI = _M & _LOW32, _M >> 32
+_W1 = np.uint64(_PHILOX_W[1])
 # integers(1, 2**53) maps a word m to the high word of m * (2^53 - 1), and
 # draws again when the low word is below (2^64 - 2^53 + 1) mod (2^53 - 1).
 _LEMIRE_THRESHOLD = 2048
-# Words generated per batch, over all three statistics; bounds peak memory
-# whatever the study size.
+# Target words per batch, over all three statistics. The replications of one
+# n split evenly into max(1, round(reps * 6n / _CHUNK_WORDS)) batches, so no
+# batch holds more than 1.5 * _CHUNK_WORDS words plus one replication's 6n:
+# peak memory is bounded whatever the study size.
 _CHUNK_WORDS = 1 << 15
 
 # The six distribution comparisons of the KS study, in report order.
@@ -115,6 +122,31 @@ def _block(statistic: Statistic, n: int) -> int:
     return ((_STAT_INDEX[statistic] + 1) << 32) | n
 
 
+def _mulhilo(even: np.ndarray, lanes: slice, scratch: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Overwrite lanes `lanes` of `even` with the low words of their 128-bit
+    products by _M[lanes] and return the high words, formed from 32-bit
+    halves in the same lanes of four scratch arrays."""
+    x = even[lanes]
+    hi, b_lo, mid, tmp = (buf[lanes] for buf in scratch)
+    m_lo, m_hi = _M_LO[lanes], _M_HI[lanes]
+    np.bitwise_and(x, _LOW32, out=b_lo)
+    np.right_shift(x, 32, out=hi)
+    np.multiply(hi, m_lo, out=mid)
+    np.multiply(b_lo, m_lo, out=tmp)
+    tmp >>= 32
+    mid += tmp
+    b_lo *= m_hi
+    np.bitwise_and(mid, _LOW32, out=tmp)
+    b_lo += tmp
+    hi *= m_hi
+    mid >>= 32
+    hi += mid
+    b_lo >>= 32
+    hi += b_lo
+    x *= _M[lanes]
+    return hi
+
+
 def _philox_words(seed: int, reps: np.ndarray, blocks: tuple[int, ...],
                   count: int) -> np.ndarray:
     """The first `count` words of each stream (seed, rep) in each counter block.
@@ -122,52 +154,58 @@ def _philox_words(seed: int, reps: np.ndarray, blocks: tuple[int, ...],
     Entry [i, b] equals ``np.random.Philox(key=[seed, reps[i]], counter=[0,
     0, 0, blocks[b]]).random_raw(count)``: the counter is incremented before
     each group of four words, so word k is lane k % 4 of Philox4x64-10
-    applied to counter [k // 4 + 1, 0, 0, block] under key [seed, rep].
+    applied to counter [g + 1, 0, 0, block], g = k // 4, under key
+    [seed, rep].
 
-    All blocks run in one pass. Lanes c0 and c2 sit stacked in one
-    (2, rows, columns) array and c1 and c3 in another, so each round is
-    one multiply over both lanes, written into buffers allocated once.
+    Round 1 has a closed form. Lanes c1 and c2 of the counter are 0, so
+    with M0 * (g + 1) = hi * 2^64 + lo it gives (seed, 0, hi ^ block ^ rep,
+    lo): one pass over the columns and one XOR with rep. In round 2 lane
+    c0 is seed on every row, so its product is one Python-int multiply
+    and only lane c2 is multiplied over the array. Rounds 3 to 10 run on
+    lanes c0 and c2 stacked in one (2, rows * columns) array and c1 and c3
+    in another, so each is one multiply over both lanes, written into
+    buffers allocated once. The seed half of the key is XORed in as a
+    scalar; the rep half is one full-length array that gains W1 in place
+    each round.
     """
-    groups = -(-count // 4)
-    shape = (2, len(reps), len(blocks) * groups)
-    even = np.zeros(shape, dtype=np.uint64)  # lanes c0, c2
-    odd = np.zeros(shape, dtype=np.uint64)   # lanes c1, c3
-    even[0] = np.tile(np.arange(1, groups + 1, dtype=np.uint64), len(blocks))
-    odd[1] = np.repeat(np.array(blocks, dtype=np.uint64), groups)
-    hi, b_lo, mid, tmp = (np.empty(shape, dtype=np.uint64) for _ in range(4))
-    # An array, not scalars: uint64 arrays wrap silently, scalars warn.
-    key = np.empty((2, len(reps), 1), dtype=np.uint64)
-    key[0] = seed
-    key[1, :, 0] = reps
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key += _PHILOX_W
-        # hi = the high words of the 128-bit products _PHILOX_M * even, from
-        # 32-bit halves; the low words overwrite even.
-        np.bitwise_and(even, _LOW32, out=b_lo)
-        np.right_shift(even, 32, out=hi)
-        np.multiply(hi, _PHILOX_M_LO, out=mid)
-        np.multiply(b_lo, _PHILOX_M_LO, out=tmp)
-        tmp >>= 32
-        mid += tmp
-        b_lo *= _PHILOX_M_HI
-        np.bitwise_and(mid, _LOW32, out=tmp)
-        b_lo += tmp
-        hi *= _PHILOX_M_HI
-        mid >>= 32
-        hi += mid
-        b_lo >>= 32
-        hi += b_lo
-        even *= _PHILOX_M
+    rows, groups = len(reps), -(-count // 4)
+    cols = len(blocks) * groups
+    size = rows * cols
+    # M0 * (g + 1) by columns. g + 1 < 2^32 for any count below 2^34, so hi
+    # needs two 32-bit products whose sum cannot wrap.
+    g = np.arange(1, groups + 1, dtype=np.uint64)
+    g_hi = (g * _M_HI[0] + (g * _M_LO[0] >> 32)) >> 32
+    c2_cols = np.tile(g_hi, len(blocks)) ^ np.repeat(np.array(blocks, dtype=np.uint64), groups)
+    c3_cols = np.tile(g * _M[0], len(blocks))
+    even = np.empty((2, size), dtype=np.uint64)  # lanes c0, c2
+    odd = np.empty((2, size), dtype=np.uint64)   # lanes c1, c3
+    scratch = tuple(np.empty((2, size), dtype=np.uint64) for _ in range(4))
+    # After round 1 only lane c2 varies by row.
+    np.bitwise_xor(reps[:, None], c2_cols, out=even[1].reshape(rows, cols))
+    rep_key = np.repeat(reps, cols)
+    rep_key += _W1
+    # Round 2: c0, c1, c2, c3 = hi1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0, with
+    # (hi0, lo0) the product M0 * seed.
+    hi1 = _mulhilo(even, slice(1, 2), scratch)[0]
+    hi0, lo0 = divmod(_PHILOX_M[0] * seed, 1 << 64)
+    np.bitwise_xor(hi1, np.uint64((seed + _PHILOX_W[0]) & _WORD), out=odd[0])
+    np.bitwise_xor(rep_key.reshape(rows, cols), np.uint64(hi0) ^ c3_cols,
+                   out=odd[1].reshape(rows, cols))
+    even[0] = lo0
+    even, odd = odd, even[::-1]
+    for r in range(2, _PHILOX_ROUNDS):
+        rep_key += _W1
+        hi = _mulhilo(even, slice(None), scratch)
         # c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
         odd ^= hi[::-1]
-        odd ^= key
+        odd[0] ^= np.uint64((seed + r * _PHILOX_W[0]) & _WORD)
+        odd[1] ^= rep_key
         even, odd = odd, even[::-1]
     # Freed before the output exists: a worker thread's peak stays resident
     # in its allocator arena.
-    del hi, b_lo, mid, tmp
+    del scratch, hi, hi1, rep_key
     words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
-    return words.reshape(len(reps), len(blocks), 4 * groups)[..., :count]
+    return words.reshape(rows, len(blocks), 4 * groups)[..., :count]
 
 
 def _uniform_rows(
@@ -262,30 +300,38 @@ def _draw_statistics(
 ) -> dict[Statistic, tuple[np.ndarray, int]]:
     """Each statistic's replication values at n, and its tie redraws.
 
-    stream_id = replication index. Replications are drawn in chunks of
+    stream_id = replication index. Replications are drawn in batches of
     about _CHUNK_WORDS words, counting the 2n words of all three
-    statistics, so one Philox pass serves every statistic of a chunk.
-    With several chunks and threads, chunks run on one pool of at most
-    os.cpu_count() threads (numpy releases the GIL on large arrays; more
-    threads only add start-up cost); each value is written to its own
-    slot, so output is identical for any thread count.
+    statistics, so one Philox pass serves every statistic of a batch.
+    The batch count is max(1, round(replications * 6n / _CHUNK_WORDS)),
+    at most one per replication, and the replications split evenly:
+    batch sizes differ by at most one row, so no short tail batch pays
+    a pass's fixed cost for a few rows. With several batches and
+    threads, batches run on one pool of at most os.cpu_count() threads
+    (numpy releases the GIL on large arrays; more threads only add
+    start-up cost); each value is written to its own slot, so output is
+    identical for any thread count.
     """
+    # Checked settings may be numpy integers; the key and batch arithmetic
+    # needs Python ints, which neither wrap nor warn.
+    seed, n, replications = int(seed), int(n), int(replications)
     values = np.empty((len(Statistic), replications), dtype=float)
-    step = max(1, _CHUNK_WORDS // (2 * n * len(Statistic)))
-    starts = range(0, replications, step)
+    row_words = 2 * n * len(Statistic)
+    batches = min(replications, max(1, round(replications * row_words / _CHUNK_WORDS)))
+    bounds = [i * replications // batches for i in range(batches + 1)]
 
-    def fill(lo: int) -> list[int]:
-        return _draw_chunk(seed, n, lo, min(lo + step, replications), values)
+    def fill(i: int) -> list[int]:
+        return _draw_chunk(seed, n, bounds[i], bounds[i + 1], values)
 
     # The CPU count is read only where a pool could start.
     workers = 1
-    if threads > 1 and len(starts) > 1:
-        workers = min(threads, len(starts), os.cpu_count() or 1)
+    if threads > 1 and batches > 1:
+        workers = min(threads, batches, os.cpu_count() or 1)
     if workers == 1:
-        totals = list(map(fill, starts))
+        totals = list(map(fill, range(batches)))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = list(pool.map(fill, starts))
+            totals = list(pool.map(fill, range(batches)))
     redraws = [sum(counts) for counts in zip(*totals)]
     return {stat: (values[i], redraws[i]) for i, stat in enumerate(Statistic)}
 

@@ -179,7 +179,9 @@ def bandwidth(samples) -> float:
 
     Matches the default of the reference plotting environment: sd uses
     the n-1 divisor, quartiles use linear interpolation, and a zero IQR
-    falls back to the standard deviation.
+    falls back to the standard deviation. A finite sample whose mean,
+    squared deviations or quartile gap overflow float64 raises
+    NonFiniteError.
     """
     x = _finite(samples)
     n = len(x)
@@ -187,9 +189,16 @@ def bandwidth(samples) -> float:
         raise SampleSizeError("bandwidth needs at least 2 points")
     if np.max(x) == np.min(x):
         raise DegenerateSampleError("sample has zero spread")
-    sd = float(np.std(x, ddof=1))
-    q75, q25 = np.percentile(x, [75.0, 25.0])
-    scale = min(sd, (q75 - q25) / 1.34)
+    # The same arithmetic, made to raise where it would overflow to inf.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sd = float(np.std(x, ddof=1))
+            q75, q25 = np.percentile(x, [75.0, 25.0])
+            iqr = q75 - q25
+    except FloatingPointError:
+        raise NonFiniteError(f"sample spread overflows float64 in the bandwidth (values "
+                             f"{np.min(x):.3g} to {np.max(x):.3g})") from None
+    scale = min(sd, iqr / 1.34)
     if scale <= 0.0:
         scale = sd
     return 0.9 * scale * n ** (-0.2)
@@ -201,14 +210,22 @@ def gaussian_kde(samples, grid_size: int = 512) -> CurveGrid:
     The grid spans [min - 3b, max + 3b] with b the rule-of-thumb
     bandwidth, capturing over 99% of the smoothed mass. A sample whose
     spread is too small for that many distinct grid points raises
-    DegenerateSampleError, as zero spread does.
+    DegenerateSampleError, as zero spread does; one whose bandwidth or
+    grid span overflows float64 raises NonFiniteError.
     """
     x = _finite(samples)
     if not isinstance(grid_size, numbers.Integral) or grid_size < 2:
         raise ValueError(f"grid_size must be an integer >= 2, got {grid_size!r}")
     b = bandwidth(x)
     low, high = float(np.min(x)), float(np.max(x))
-    grid = np.linspace(low - 3.0 * b, high + 3.0 * b, grid_size)
+    start, stop = low - 3.0 * b, high + 3.0 * b
+    # A finite span keeps the range, both ends and np.linspace's steps finite.
+    # bandwidth's overflow check implies it with numpy's std; this keeps an
+    # inf span from np.linspace whatever b is.
+    if not math.isfinite(stop - start):
+        raise NonFiniteError(f"KDE grid [{start:.3g}, {stop:.3g}] overflows float64 (sample "
+                             f"values {low:.3g} to {high:.3g})")
+    grid = np.linspace(start, stop, grid_size)
     if not (np.diff(grid) > 0).all():
         raise DegenerateSampleError(f"sample spread {high - low:.3g} gives no strictly "
                                     f"increasing grid of {grid_size} points")

@@ -461,7 +461,7 @@ def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch):
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", Pool)
     # n = 100 at 1400 reps is several batches, so one pool runs for the n.
-    assert 1400 > simulate._CHUNK_WORDS // (6 * 100)
+    assert round(1400 * 6 * 100 / simulate._CHUNK_WORDS) > 1
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     simulate.run_moment_study(8, (100,), 1400, threads=64)
     assert workers == [2]

@@ -344,13 +344,16 @@ def rejected_word(low):
 
 class TestBatchedEngine:
     def test_streams_match_numpy_philox(self):
-        # 4 seeds x 3 lengths x 3 statistics x 30 replications = 1080 streams,
-        # the three statistics' blocks of one n drawn in one call
-        reps = np.arange(30, dtype=np.uint64) * 977
-        for seed in (0, 2**63, 2**64 - 1, 42):
-            for n in (3, 10, 7):
+        # 5 seeds x 4 lengths x 3 statistics x 32 replications = 1920 streams,
+        # the three statistics' blocks of one n drawn in one call. At the key's
+        # edges the folded rounds wrap: rep + W1 and rep ^ (column term) at
+        # reps 2^63 and 2^64 - 1, seed + W0 at seeds 2^63, 2^64 - W0 (to 0)
+        # and 2^64 - 1; n = 2^32 - 1 fills the block's low word.
+        reps = np.append(np.arange(30, dtype=np.uint64) * 977,
+                         np.array([2**63, 2**64 - 1], dtype=np.uint64))
+        for seed in (0, 2**63, 2**64 - 1, 42, 2**64 - 0x9E3779B97F4A7C15):
+            for n, count in ((3, 6), (10, 20), (7, 15), (2**32 - 1, 10)):
                 blocks = tuple(_block(stat, n) for stat in Statistic)
-                count = 2 * n + (n == 7)  # 6, 20 and 15 words
                 words = _philox_words(seed, reps, blocks, count)
                 uniforms, rejected = _uniform_rows(seed, reps, blocks, count)
                 assert words.shape == uniforms.shape == (len(reps), 3, count)
@@ -527,7 +530,7 @@ class TestBatchedEngine:
 
     def test_threads_bytes_identical_over_several_chunks(self, tmp_path):
         n, reps = 200, 700
-        assert reps > simulate._CHUNK_WORDS // (6 * n)  # more than one chunk
+        assert round(reps * 6 * n / simulate._CHUNK_WORDS) > 1  # more than one batch
         base = ["simulate", "moments", "--n-list", str(n), "--reps", str(reps),
                 "--seed", "13", "--full-precision"]
         one, two = tmp_path / "one.csv", tmp_path / "two.csv"
@@ -536,8 +539,8 @@ class TestBatchedEngine:
         assert one.read_bytes() == two.read_bytes()
 
     def test_small_chunks_keep_every_byte(self, tmp_path, monkeypatch):
-        # at 600 words a chunk holds 10 replications at n = 10 and 4 at n = 25,
-        # so 37 replications split into 4 and 10 chunks, the last one short
+        # at 600 words 37 replications split into round(3.7) = 4 batches of
+        # 9-10 at n = 10 and round(9.25) = 9 batches of 4-5 at n = 25
         n_list, reps = (10, 25), 37
         base = ["--n-list", ",".join(map(str, n_list)), "--reps", str(reps), "--seed", "4",
                 "--full-precision"]
@@ -554,20 +557,51 @@ class TestBatchedEngine:
         default = outputs("default")
         assert len(default) == 4
         monkeypatch.setattr(simulate, "_CHUNK_WORDS", 600)
-        for n, chunks in zip(n_list, (4, 10)):
-            step = simulate._CHUNK_WORDS // (6 * n)
-            assert -(-reps // step) == chunks and reps % step
+        for n, batches in zip(n_list, (4, 9)):
+            assert round(reps * 6 * n / simulate._CHUNK_WORDS) == batches
         assert outputs("one", "--threads", "1") == default
         assert outputs("two", "--threads", "2") == default
+
+    # At n = 10 a replication is 60 words: 30 and 60 leave 37 one-row batches
+    # (never an empty one), 100 leaves 22 of one or two rows, 600 4 of 9-10,
+    # and 10^6 one batch larger than the whole study.
+    @pytest.mark.parametrize("chunk_words", [30, 60, 100, 600, 1 << 15, 10**6])
+    def test_batch_boundaries_move_no_value(self, monkeypatch, chunk_words):
+        n, reps = 10, 37
+        head = self._head(5, 5, _block(Statistic.FOOTRULE, n))
+        self._force(monkeypatch, 5, _block(Statistic.FOOTRULE, n), {1: head[0]})
+        expected = _draw_statistics(5, n, reps, 1)
+        assert expected[Statistic.FOOTRULE][1] == 1  # the forced tie
+        real_chunk, batches = simulate._draw_chunk, []
+
+        def chunk(seed, n, lo, hi, values):
+            batches.append((lo, hi))
+            return real_chunk(seed, n, lo, hi, values)
+
+        monkeypatch.setattr(simulate, "_draw_chunk", chunk)
+        monkeypatch.setattr(simulate, "_CHUNK_WORDS", chunk_words)
+        for threads in (1, 2):
+            batches.clear()
+            drawn = _draw_statistics(5, n, reps, threads)
+            for stat in Statistic:
+                assert drawn[stat][0].tobytes() == expected[stat][0].tobytes()
+                assert drawn[stat][1] == expected[stat][1]
+            bounds = sorted(batches)
+            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+            assert bounds[-1][1] == reps
+            sizes = [hi - lo for lo, hi in bounds]
+            assert max(sizes) - min(sizes) <= 1
+            assert max(sizes) * 6 * n <= 1.5 * chunk_words + 6 * n
+            assert len(bounds) == {30: 37, 60: 37, 100: 22, 600: 4}.get(chunk_words, 1)
 
     def test_cpu_count_read_only_for_a_pool(self, monkeypatch):
         calls = []
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: calls.append(1) or 2)
         n, reps = 100, 1400
-        assert reps > simulate._CHUNK_WORDS // (6 * n)  # more than one chunk
+        assert round(reps * 6 * n / simulate._CHUNK_WORDS) > 1  # more than one batch
         run_moment_study(8, (n,), reps, threads=1)
         assert calls == []
-        run_moment_study(8, (n,), 2, threads=2)  # one chunk
+        run_moment_study(8, (n,), 2, threads=2)  # one batch
         assert calls == []
         run_moment_study(8, (n, n), reps, threads=2)
         assert len(calls) == 2

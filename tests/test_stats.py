@@ -314,6 +314,21 @@ class TestGaussianKde:
         with pytest.raises(NonFiniteError, match="samples must be finite"):
             gaussian_kde([bad, 1.0, 2.0], 8)
 
+    # Finite samples whose squared deviations overflow float64 raise one
+    # NonFiniteError and no RuntimeWarning, which the test settings make an error.
+    @pytest.mark.parametrize("sample", [[-1e308, 1e308, 0.0], [0.0, 1.7e308, 1.0]])
+    def test_overflowing_spread_rejected(self, sample):
+        with pytest.raises(NonFiniteError, match="sample spread overflows float64"):
+            bandwidth(sample)
+        with pytest.raises(NonFiniteError, match="sample spread overflows float64"):
+            gaussian_kde(sample, 8)
+
+    def test_overflowing_grid_rejected(self, monkeypatch):
+        # Both ends finite, but their distance is not.
+        monkeypatch.setattr(stats, "bandwidth", lambda x: 5e307)
+        with pytest.raises(NonFiniteError, match=r"KDE grid \[-1.5e\+308, 1.5e\+308\] overflows"):
+            gaussian_kde([0.0, 1.0, 3.0], 8)
+
     # Partial last tiles (31, 33, 513 rows) and partial last chunks (4097, 9000).
     @pytest.mark.parametrize("grid_size", [2, 31, 33, 64, 513])
     @pytest.mark.parametrize("size", [2, 300, 4095, 4096, 4097, 9000])
