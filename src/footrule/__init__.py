@@ -44,7 +44,6 @@ from .simulate import (
     run_moment_study,
 )
 from .stats import (
-    CurveGrid,
     KsOutcome,
     SummaryStats,
     ecdf_curve,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadVarianceError",
-    "CurveGrid",
     "CurveRow",
     "DegenerateSampleError",
     "ExactNullDistribution",

@@ -439,14 +439,14 @@ def _cmd_simulate_curves(args: argparse.Namespace) -> int:
     )
     # Both files share each curve's grid, so it is formatted once.
     fmt = _float_format(args.full_precision)
-    grids = [list(_cells(e.density.grid, fmt)) for e in entries]
+    grids = [list(_cells(e.grid, fmt)) for e in entries]
     _write_csv(density_path, ["statistic", "n", "grid", "density", "ref_density"],
-               (_curve_block(e, g, e.density.values, e.ref_density)
+               (_curve_block(e, g, e.density, e.ref_density)
                 for e, g in zip(entries, grids)),
                args.full_precision)
     try:
         _write_csv(cdf_path, ["statistic", "n", "grid", "cdf", "ref_cdf"],
-                   (_curve_block(e, g, e.cdf.values, e.ref_cdf) for e, g in zip(entries, grids)),
+                   (_curve_block(e, g, e.cdf, e.ref_cdf) for e, g in zip(entries, grids)),
                    args.full_precision)
     except BaseException:
         density_path.unlink(missing_ok=True)

@@ -53,7 +53,9 @@ class BadVarianceError(ValueError):
     """Variance parameter is not strictly positive."""
 
 
-def _check_integer(name: str, value: int) -> None:
-    """Reject a float or any other non-integer; Python and numpy integers pass."""
+def _check_integer(name: str, value: int) -> int:
+    """`value` as a Python int; Python and numpy integers pass, a float or any
+    other non-integer raises. Python ints neither wrap nor warn in arithmetic."""
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

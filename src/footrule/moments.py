@@ -18,7 +18,7 @@ def null_variance_exact(n: int, kind: Statistic) -> Fraction:
     All three statistics have mean 0 under independence; the variances
     are 1/n-scale quantities with n * variance -> 2/5.
     """
-    _check_integer("sample size", n)
+    n = _check_integer("sample size", n)
     if kind is Statistic.FOOTRULE:
         if n < 2:
             raise SampleSizeError("footrule variance needs n >= 2")

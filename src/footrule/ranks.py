@@ -155,7 +155,7 @@ class ExactNullDistribution:
     counts: dict[int, int] = field(repr=False)
 
     def __post_init__(self) -> None:
-        _check_integer("sample size", self.n)
+        object.__setattr__(self, "n", _check_integer("sample size", self.n))
         if self.n < 2:
             raise SampleSizeError(f"exact null law needs n >= 2, got {self.n}")
         total = sum(self.counts.values())
@@ -217,7 +217,7 @@ def enumerate_null_distribution(n: int) -> ExactNullDistribution:
     carry into each other. Exact integer arithmetic throughout, O(n^2)
     big-int operations; capped at n = EXACT_MAX_N.
     """
-    _check_integer("sample size", n)
+    n = _check_integer("sample size", n)
     if not 2 <= n <= EXACT_MAX_N:
         raise SampleSizeError(f"exact null law needs 2 <= n <= {EXACT_MAX_N}, got {n}")
     width = math.factorial(n).bit_length() // 8 + 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -33,7 +34,6 @@ from .moments import limiting_variance
 from .ranks import _footrule_rows, footrule_coefficient  # noqa: F401
 from .representations import _double_sum_rows, _hajek_rows
 from .stats import (
-    CurveGrid,
     KsOutcome,
     SummaryStats,
     ecdf_curve,
@@ -111,11 +111,12 @@ class StreamKey:
         return np.random.Generator(bitgen)
 
 
-def _check_word(name: str, value: int) -> None:
+def _check_word(name: str, value: int) -> int:
     """Keys are two 64-bit words; reject what would wrap, round or truncate."""
-    _check_integer(name, value)
+    value = _check_integer(name, value)
     if not 0 <= value < 1 << 64:
         raise ValueError(f"{name} must be in [0, 2^64), got {value}")
+    return value
 
 
 def _block(statistic: Statistic, n: int) -> int:
@@ -312,9 +313,6 @@ def _draw_statistics(
     start-up cost); each value is written to its own slot, so output is
     identical for any thread count.
     """
-    # Checked settings may be numpy integers; the key and batch arithmetic
-    # needs Python ints, which neither wrap nor warn.
-    seed, n, replications = int(seed), int(n), int(replications)
     values = np.empty((len(Statistic), replications), dtype=float)
     row_words = 2 * n * len(Statistic)
     batches = min(replications, max(1, round(replications * row_words / _CHUNK_WORDS)))
@@ -353,24 +351,24 @@ class KsRow:
 
 @dataclass(frozen=True)
 class CurveRow:
-    """KDE and ECDF of the scaled draws plus the limiting normal curves."""
+    """KDE and ECDF of the scaled draws plus the limiting normal curves, on one grid."""
 
     statistic: Statistic
     n: int
-    density: CurveGrid
-    cdf: CurveGrid
+    grid: np.ndarray = field(repr=False)
+    density: np.ndarray = field(repr=False)
+    cdf: np.ndarray = field(repr=False)
     ref_density: np.ndarray = field(repr=False)
     ref_cdf: np.ndarray = field(repr=False)
 
 
-def _check_study(seed: int, sample_sizes: tuple[int, ...], replications: int,
-                 threads: int) -> None:
-    """Reject study settings before anything is drawn."""
-    _check_word("seed", seed)
-    _check_integer("replications", replications)
-    _check_integer("threads", threads)
-    for n in sample_sizes:
-        _check_integer("sample size", n)
+def _check_study(seed: int, sample_sizes: Iterable[int], replications: int,
+                 threads: int) -> tuple[int, tuple[int, ...], int, int]:
+    """The study settings as Python ints, checked before anything is drawn."""
+    seed = _check_word("seed", seed)
+    replications = _check_integer("replications", replications)
+    threads = _check_integer("threads", threads)
+    sample_sizes = tuple(_check_integer("sample size", n) for n in sample_sizes)
     if replications < 2:
         raise ValueError(f"replications must be >= 2, got {replications}")
     if threads < 1:
@@ -378,11 +376,12 @@ def _check_study(seed: int, sample_sizes: tuple[int, ...], replications: int,
     # n is the low word of a counter block, so n >= 2^32 would share a block.
     if not sample_sizes or not 2 <= min(sample_sizes) <= max(sample_sizes) < 1 << 32:
         raise ValueError(f"sample sizes must all be in [2, 2^32), got {list(sample_sizes)}")
+    return seed, sample_sizes, replications, threads
 
 
 def run_moment_study(
     seed: int,
-    sample_sizes: tuple[int, ...],
+    sample_sizes: Iterable[int],
     replications: int = 10_000,
     threads: int = 1,
 ) -> list[MomentRow]:
@@ -391,7 +390,8 @@ def run_moment_study(
     Draws run n by n, all three statistics at once; rows run statistic by
     statistic, and by n within a statistic.
     """
-    _check_study(seed, sample_sizes, replications, threads)
+    seed, sample_sizes, replications, threads = _check_study(
+        seed, sample_sizes, replications, threads)
     rows = {}
     for n in sample_sizes:
         for stat, (values, redraws) in _draw_statistics(seed, n, replications, threads).items():
@@ -415,7 +415,7 @@ def _statistic_pools(
 
 def run_ks_study(
     seed: int,
-    sample_sizes: tuple[int, ...],
+    sample_sizes: Iterable[int],
     replications: int = 1000,
     threads: int = 1,
 ) -> list[KsRow]:
@@ -426,7 +426,8 @@ def run_ks_study(
     Pairs against "normal" are one-sample tests against the limiting
     Normal(0, 2/5) CDF; statistic pairs are two-sample tests.
     """
-    _check_study(seed, sample_sizes, replications, threads)
+    seed, sample_sizes, replications, threads = _check_study(
+        seed, sample_sizes, replications, threads)
     var = limiting_variance()
     rows = []
     for n in sample_sizes:
@@ -442,7 +443,7 @@ def run_ks_study(
 
 def run_curve_study(
     seed: int,
-    sample_sizes: tuple[int, ...],
+    sample_sizes: Iterable[int],
     replications: int = 100_000,
     grid_size: int = 512,
     threads: int = 1,
@@ -452,8 +453,9 @@ def run_curve_study(
     The ECDF and the reference Normal(0, 2/5) curves are evaluated on
     the KDE's grid so each (statistic, n) shares a single axis.
     """
-    _check_study(seed, sample_sizes, replications, threads)
-    _check_integer("grid size", grid_size)
+    seed, sample_sizes, replications, threads = _check_study(
+        seed, sample_sizes, replications, threads)
+    grid_size = _check_integer("grid size", grid_size)
     if grid_size < 2:
         raise ValueError(f"grid size must be >= 2, got {grid_size}")
     var = limiting_variance()
@@ -462,16 +464,7 @@ def run_curve_study(
         pools = _statistic_pools(seed, n, replications, threads)
         for stat in Statistic:
             values = pools[stat.value]
-            density = gaussian_kde(values, grid_size=grid_size)
-            cdf = ecdf_curve(values, density.grid)
-            rows.append(
-                CurveRow(
-                    statistic=stat,
-                    n=n,
-                    density=density,
-                    cdf=cdf,
-                    ref_density=normal_pdf(density.grid, 0.0, var),
-                    ref_cdf=normal_cdf(density.grid, 0.0, var),
-                )
-            )
+            grid, density = gaussian_kde(values, grid_size=grid_size)
+            rows.append(CurveRow(stat, n, grid, density, ecdf_curve(values, grid),
+                                 normal_pdf(grid, 0.0, var), normal_cdf(grid, 0.0, var)))
     return rows

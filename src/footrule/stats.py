@@ -43,14 +43,6 @@ class SummaryStats:
     rmse: float
 
 
-@dataclass(frozen=True)
-class CurveGrid:
-    """Function values (density or CDF heights) on an increasing grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-
 def normal_cdf(x: float | np.ndarray, mean: float = 0.0, variance: float = 1.0):
     """P(Z <= x) for Z ~ Normal(mean, variance), at a float or a 1-D array.
 
@@ -204,14 +196,15 @@ def bandwidth(samples) -> float:
     return 0.9 * scale * n ** (-0.2)
 
 
-def gaussian_kde(samples, grid_size: int = 512) -> CurveGrid:
-    """Gaussian-kernel density estimate on an equispaced grid.
+def gaussian_kde(samples, grid_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian-kernel density estimate on an equispaced grid, as (grid, density).
 
     The grid spans [min - 3b, max + 3b] with b the rule-of-thumb
     bandwidth, capturing over 99% of the smoothed mass. A sample whose
     spread is too small for that many distinct grid points raises
-    DegenerateSampleError, as zero spread does; one whose bandwidth or
-    grid span overflows float64 raises NonFiniteError.
+    DegenerateSampleError, as zero spread does; one whose bandwidth,
+    grid span or density normalisation overflows float64 raises
+    NonFiniteError.
     """
     x = _finite(samples)
     if not isinstance(grid_size, numbers.Integral) or grid_size < 2:
@@ -234,26 +227,31 @@ def gaussian_kde(samples, grid_size: int = 512) -> CurveGrid:
     # place. Each row adds its chunk sums in chunk order, so the tiling
     # does not change a bit. A tile's view is contiguous, as the full
     # (grid, chunk) matrix was, so exp and the row sums run the same loops.
+    # A z or z^2 past the float range is a kernel term of exactly 0, which
+    # exp(-inf) gives, so that overflow is silent; a density past it raises.
     size = min(_KDE_TILE_ROWS, grid_size) * min(_KDE_CHUNK, len(x))
     z_buf, w_buf = np.empty(size), np.empty(size)
-    for start in range(0, len(x), _KDE_CHUNK):
-        chunk = x[start:start + _KDE_CHUNK]
-        for row in range(0, grid_size, _KDE_TILE_ROWS):
-            rows = grid[row:row + _KDE_TILE_ROWS, None]
-            cells = len(rows) * len(chunk)
-            z = z_buf[:cells].reshape(len(rows), len(chunk))
-            w = w_buf[:cells].reshape(z.shape)
-            np.subtract(rows, chunk, out=z)
-            np.divide(z, b, out=z)
-            np.multiply(z, -0.5, out=w)
-            np.multiply(w, z, out=w)
-            np.exp(w, out=w)
-            dens[row:row + len(rows)] += w.sum(axis=1)
-    dens /= len(x) * b * math.sqrt(2.0 * math.pi)
-    return CurveGrid(grid=grid, values=dens)
+    with np.errstate(over="ignore"):
+        for start in range(0, len(x), _KDE_CHUNK):
+            chunk = x[start:start + _KDE_CHUNK]
+            for row in range(0, grid_size, _KDE_TILE_ROWS):
+                rows = grid[row:row + _KDE_TILE_ROWS, None]
+                cells = len(rows) * len(chunk)
+                z = z_buf[:cells].reshape(len(rows), len(chunk))
+                w = w_buf[:cells].reshape(z.shape)
+                np.subtract(rows, chunk, out=z)
+                np.divide(z, b, out=z)
+                np.multiply(z, -0.5, out=w)
+                np.multiply(w, z, out=w)
+                np.exp(w, out=w)
+                dens[row:row + len(rows)] += w.sum(axis=1)
+        dens /= len(x) * b * math.sqrt(2.0 * math.pi)
+    if not np.isfinite(dens).all():
+        raise NonFiniteError(f"KDE density overflows float64 (bandwidth {b:.3g})")
+    return grid, dens
 
 
-def ecdf_curve(samples, grid) -> CurveGrid:
+def ecdf_curve(samples, grid) -> np.ndarray:
     """Empirical CDF heights (#{x_i <= g})/n on a 1-D, NaN-free, strictly increasing grid."""
     x = np.sort(_finite(samples))
     if len(x) < 1:
@@ -261,8 +259,7 @@ def ecdf_curve(samples, grid) -> CurveGrid:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or np.isnan(g).any() or not (np.diff(g) > 0).all():
         raise ValueError("grid must be a 1-D strictly increasing array without NaN")
-    values = np.searchsorted(x, g, side="right") / len(x)
-    return CurveGrid(grid=g, values=values)
+    return np.searchsorted(x, g, side="right") / len(x)
 
 
 def summarize(estimates, true_value: float) -> SummaryStats:

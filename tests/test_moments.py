@@ -60,6 +60,11 @@ class TestNullMoments:
             with pytest.raises(ValueError, match=r"^sample size must be an integer"):
                 null_variance_exact(n, kind)
 
+    # At n = 1000 the footrule and double-sum denominators pass int32.
+    def test_numpy_integer_n_gives_the_python_int_variance(self):
+        for kind in Statistic:
+            assert null_variance_exact(np.int32(1000), kind) == null_variance_exact(1000, kind)
+
     @pytest.mark.parametrize("n", [*range(2, 41), EXACT_MAX_N])
     def test_enumeration_agrees_exactly(self, n):
         mean, var = phi_moments_exact(enumerate_null_distribution(n))

@@ -311,6 +311,14 @@ class TestEnumeration:
         with pytest.raises(ValueError, match=r"^sample size must be an integer, got 2.0$"):
             ExactNullDistribution(n=2.0, counts={0: 1, 2: 1})
 
+    # At n = 19 and 20 the mean check's (n^2 - 1) * n! passes int64; from n = 21, n! does.
+    @pytest.mark.parametrize("n", [19, 20, 30, 100])
+    @pytest.mark.parametrize("to_numpy", [np.int64, np.int32])
+    def test_numpy_integer_n_gives_the_python_int_law(self, n, to_numpy):
+        dist = enumerate_null_distribution(to_numpy(n))
+        assert type(dist.n) is int
+        assert dist.counts == enumerate_null_distribution(n).counts
+
     def test_two_sided_p_n3(self):
         dist = enumerate_null_distribution(3)
         # |phi| >= 1 only at D = 0

@@ -286,6 +286,10 @@ def test_numpy_integer_settings_draw_as_python_ints():
     assert as_numpy == run_moment_study(1, (10,), 50, 1)
 
 
+def test_sample_sizes_may_be_a_numpy_array():
+    assert run_moment_study(42, np.array([10, 20]), 100) == run_moment_study(42, (10, 20), 100)
+
+
 class TestCurveStudy:
     def test_smoke_grids(self):
         rows = run_curve_study(
@@ -293,15 +297,14 @@ class TestCurveStudy:
         )
         assert len(rows) == 3
         for row in rows:
-            assert len(row.density.grid) == 64
-            assert (row.density.values >= 0).all()
-            mass = trapezoid(row.density.values, row.density.grid)
+            assert len(row.grid) == 64
+            assert (row.density >= 0).all()
+            mass = trapezoid(row.density, row.grid)
             assert mass == pytest.approx(1.0, abs=0.05)
-            assert (np.diff(row.cdf.values) >= 0).all()
-            assert row.cdf.values.min() >= 0.0 and row.cdf.values.max() <= 1.0
-            assert np.array_equal(row.cdf.grid, row.density.grid)
-            ref_d = [normal_pdf(g, 0.0, 0.4) for g in row.density.grid]
-            ref_c = [normal_cdf(g, 0.0, 0.4) for g in row.density.grid]
+            assert (np.diff(row.cdf) >= 0).all()
+            assert row.cdf.min() >= 0.0 and row.cdf.max() <= 1.0
+            ref_d = [normal_pdf(g, 0.0, 0.4) for g in row.grid]
+            ref_c = [normal_cdf(g, 0.0, 0.4) for g in row.grid]
             assert np.array_equal(row.ref_density, ref_d)
             assert np.array_equal(row.ref_cdf, ref_c)
 

@@ -282,18 +282,18 @@ def untiled_kde(samples, grid_size):
 
 class TestGaussianKde:
     def test_two_point_symmetry(self):
-        curve = gaussian_kde([-1.0, 1.0], grid_size=256)
-        assert np.allclose(curve.values, curve.values[::-1], rtol=1e-12, atol=0)
+        _, dens = gaussian_kde([-1.0, 1.0], grid_size=256)
+        assert np.allclose(dens, dens[::-1], rtol=1e-12, atol=0)
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(5)
-        curve = gaussian_kde(rng.normal(size=400), grid_size=512)
-        assert trapezoid(curve.values, curve.grid) == pytest.approx(1.0, abs=0.01)
+        grid, dens = gaussian_kde(rng.normal(size=400), grid_size=512)
+        assert trapezoid(dens, grid) == pytest.approx(1.0, abs=0.01)
 
     def test_near_degenerate_pair(self):
-        curve = gaussian_kde([0.0, 0.001], grid_size=64)
-        assert np.isfinite(curve.values).all()
-        assert (curve.values >= 0).all()
+        _, dens = gaussian_kde([0.0, 0.001], grid_size=64)
+        assert np.isfinite(dens).all()
+        assert (dens >= 0).all()
         b = bandwidth([0.0, 0.001])
         sd = np.std([0.0, 0.001], ddof=1)
         iqr = np.percentile([0.0, 0.001], 75) - np.percentile([0.0, 0.001], 25)
@@ -323,6 +323,22 @@ class TestGaussianKde:
         with pytest.raises(NonFiniteError, match="sample spread overflows float64"):
             gaussian_kde(sample, 8)
 
+    # A bandwidth of ~1e-200 puts z or z^2 past the float range for the far
+    # point; that kernel term is 0, and the test settings make any warning an error.
+    @pytest.mark.parametrize("far", [1e100, 1e120], ids=["square-overflows", "z-overflows"])
+    def test_far_point_of_a_tiny_bandwidth_is_silent(self, far):
+        grid, dens = gaussian_kde([0.0, 1e-200, 2e-200, 3e-200, far], 8)
+        assert grid.dtype == dens.dtype == np.float64
+        assert np.isfinite(dens).all() and (dens >= 0).all()
+
+    # A subnormal bandwidth puts the normalised density past the float range.
+    @pytest.mark.parametrize("sample", [[0.0, 1e-310, 2e-310, 3e-310, 1.0],
+                                        [0.0, 5e-324, 1e-323, 1.5e-323, 1.0]],
+                             ids=["subnormal", "smallest-subnormal"])
+    def test_overflowing_density_rejected(self, sample):
+        with pytest.raises(NonFiniteError, match="KDE density overflows float64"):
+            gaussian_kde(sample, 8)
+
     def test_overflowing_grid_rejected(self, monkeypatch):
         # Both ends finite, but their distance is not.
         monkeypatch.setattr(stats, "bandwidth", lambda x: 5e307)
@@ -334,10 +350,10 @@ class TestGaussianKde:
     @pytest.mark.parametrize("size", [2, 300, 4095, 4096, 4097, 9000])
     def test_tiles_match_untiled_bits(self, size, grid_size):
         x = np.random.default_rng(size).normal(size=size)
-        curve = gaussian_kde(x, grid_size=grid_size)
+        tiled_grid, tiled_dens = gaussian_kde(x, grid_size=grid_size)
         grid, dens = untiled_kde(x, grid_size)
-        assert curve.grid.tobytes() == grid.tobytes()
-        assert curve.values.tobytes() == dens.tobytes()
+        assert tiled_grid.tobytes() == grid.tobytes()
+        assert tiled_dens.tobytes() == dens.tobytes()
 
     @pytest.mark.parametrize("grid_size", [8.5, 8.0, 1])
     def test_grid_size_must_be_an_integer_of_at_least_two(self, grid_size):
@@ -367,23 +383,23 @@ class TestGaussianKde:
     def test_grid_spans_three_bandwidths(self):
         x = [0.0, 1.0, 3.0]
         b = bandwidth(x)
-        curve = gaussian_kde(x, grid_size=128)
-        assert curve.grid[0] == pytest.approx(0.0 - 3 * b)
-        assert curve.grid[-1] == pytest.approx(3.0 + 3 * b)
-        assert len(curve.grid) == 128
+        grid, _ = gaussian_kde(x, grid_size=128)
+        assert grid[0] == pytest.approx(0.0 - 3 * b)
+        assert grid[-1] == pytest.approx(3.0 + 3 * b)
+        assert len(grid) == 128
 
 
 class TestEcdfCurve:
     def test_below_min(self):
-        assert ecdf_curve([1.0, 2.0], [0.0]).values[0] == 0.0
+        assert ecdf_curve([1.0, 2.0], [0.0])[0] == 0.0
 
     def test_at_and_above_max(self):
         out = ecdf_curve([1.0, 2.0], [2.0, 5.0])
-        assert out.values.tolist() == [1.0, 1.0]
+        assert out.tolist() == [1.0, 1.0]
 
     def test_interior_count(self):
         out = ecdf_curve([1.0, 2.0, 3.0, 4.0], [2.5])
-        assert out.values[0] == 0.5
+        assert out[0] == 0.5
 
     @pytest.mark.parametrize("grid", [[1.0, 0.0], [[0.0, 1.0]], [0.0, math.nan], [math.nan]],
                              ids=["decreasing", "two-dimensional", "nan", "lone-nan"])
