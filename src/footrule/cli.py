@@ -463,12 +463,8 @@ def _add_simulate_common(parser: argparse.ArgumentParser, default_reps: int,
                         help="comma-separated sample sizes")
     parser.add_argument("--out", help=out_help)
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads across batches of about 2^15 random "
-                             "words, each batch holding all three statistics of "
-                             "one n; the replications of one n split evenly into "
-                             "max(1, round(reps*6n/2^15)) batches; an n with one "
-                             "batch runs inline; capped at the CPU count. Never "
-                             "changes output bytes (default 1)")
+                        help="worker threads across the batches of one n, capped "
+                             "at the CPU count; never changes output bytes (default 1)")
     parser.add_argument("--full-precision", action="store_true",
                         help="emit shortest round-trip decimals instead of 5 places")
 

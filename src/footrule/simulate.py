@@ -23,7 +23,7 @@ import math
 import os
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -349,9 +349,13 @@ class KsRow:
     outcome: KsOutcome
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurveRow:
-    """KDE and ECDF of the scaled draws plus the limiting normal curves, on one grid."""
+    """KDE and ECDF of the scaled draws plus the limiting normal curves, on one grid.
+
+    Rows compare by value, every field through np.array_equal: the
+    dataclass `==` would compare the arrays as a tuple and raise.
+    """
 
     statistic: Statistic
     n: int
@@ -360,6 +364,12 @@ class CurveRow:
     cdf: np.ndarray = field(repr=False)
     ref_density: np.ndarray = field(repr=False)
     ref_cdf: np.ndarray = field(repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CurveRow):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 def _check_study(seed: int, sample_sizes: Iterable[int], replications: int,
@@ -399,20 +409,6 @@ def run_moment_study(
     return [rows[stat, n] for stat in Statistic for n in sample_sizes]
 
 
-def _statistic_pools(
-    seed: int,
-    n: int,
-    replications: int,
-    threads: int,
-) -> dict[str, np.ndarray]:
-    """sqrt(n)-scaled draws of each statistic at n, by CSV label."""
-    pools: dict[str, np.ndarray] = {}
-    for stat, (values, _) in _draw_statistics(seed, n, replications, threads).items():
-        values *= math.sqrt(n)
-        pools[stat.value] = values
-    return pools
-
-
 def run_ks_study(
     seed: int,
     sample_sizes: Iterable[int],
@@ -431,7 +427,8 @@ def run_ks_study(
     var = limiting_variance()
     rows = []
     for n in sample_sizes:
-        pools = _statistic_pools(seed, n, replications, threads)
+        pools = {stat.value: values * math.sqrt(n) for stat, (values, _)
+                 in _draw_statistics(seed, n, replications, threads).items()}
         for left, right in KS_COMBINATIONS:
             if right == "normal":
                 outcome = ks_one_sample(pools[left], lambda xs: normal_cdf(xs, 0.0, var))
@@ -461,9 +458,8 @@ def run_curve_study(
     var = limiting_variance()
     rows = []
     for n in sample_sizes:
-        pools = _statistic_pools(seed, n, replications, threads)
-        for stat in Statistic:
-            values = pools[stat.value]
+        for stat, (values, _) in _draw_statistics(seed, n, replications, threads).items():
+            values *= math.sqrt(n)
             grid, density = gaussian_kde(values, grid_size=grid_size)
             rows.append(CurveRow(stat, n, grid, density, ecdf_curve(values, grid),
                                  normal_pdf(grid, 0.0, var), normal_cdf(grid, 0.0, var)))

@@ -21,8 +21,8 @@ _SERIES_EPS = 1e-16
 # Below this the alternating series needs millions of terms while the
 # survival probability is 1 to far beyond double precision.
 _KOLMOGOROV_SMALL = 0.05
-# Samples per KDE chunk and grid rows per tile: two (32, 4096) float64
-# scratch buffers of 1 MiB each.
+# Samples per KDE chunk and grid rows per tile: each tile is one (32, 4096)
+# float64 array of 1 MiB.
 _KDE_CHUNK = 4096
 _KDE_TILE_ROWS = 32
 
@@ -223,28 +223,24 @@ def gaussian_kde(samples, grid_size: int = 512) -> tuple[np.ndarray, np.ndarray]
         raise DegenerateSampleError(f"sample spread {high - low:.3g} gives no strictly "
                                     f"increasing grid of {grid_size} points")
     dens = np.zeros(grid_size)
-    # Tiles of grid rows x sample chunk, in two scratch buffers reused in
-    # place. Each row adds its chunk sums in chunk order, so the tiling
-    # does not change a bit. A tile's view is contiguous, as the full
-    # (grid, chunk) matrix was, so exp and the row sums run the same loops.
+    # Tiles of grid rows x sample chunk, each one array worked in place.
+    # Each row adds its chunk sums in chunk order, so the tiling does not
+    # change a bit. A tile is contiguous, as an untiled (grid, chunk) matrix
+    # is, so exp and the row sums run the same loops. (z * z) * -0.5 has
+    # the bits of the untiled (-0.5 * z) * z: scaling by -1/2 is exact for
+    # normal numbers, an underflowing square gives exp = 1.0 either way and
+    # an overflowing one gives 0 either way.
     # A z or z^2 past the float range is a kernel term of exactly 0, which
     # exp(-inf) gives, so that overflow is silent; a density past it raises.
-    size = min(_KDE_TILE_ROWS, grid_size) * min(_KDE_CHUNK, len(x))
-    z_buf, w_buf = np.empty(size), np.empty(size)
     with np.errstate(over="ignore"):
         for start in range(0, len(x), _KDE_CHUNK):
             chunk = x[start:start + _KDE_CHUNK]
             for row in range(0, grid_size, _KDE_TILE_ROWS):
-                rows = grid[row:row + _KDE_TILE_ROWS, None]
-                cells = len(rows) * len(chunk)
-                z = z_buf[:cells].reshape(len(rows), len(chunk))
-                w = w_buf[:cells].reshape(z.shape)
-                np.subtract(rows, chunk, out=z)
-                np.divide(z, b, out=z)
-                np.multiply(z, -0.5, out=w)
-                np.multiply(w, z, out=w)
-                np.exp(w, out=w)
-                dens[row:row + len(rows)] += w.sum(axis=1)
+                z = grid[row:row + _KDE_TILE_ROWS, None] - chunk
+                z /= b
+                z *= z
+                z *= -0.5
+                dens[row:row + _KDE_TILE_ROWS] += np.exp(z, out=z).sum(axis=1)
         dens /= len(x) * b * math.sqrt(2.0 * math.pi)
     if not np.isfinite(dens).all():
         raise NonFiniteError(f"KDE density overflows float64 (bandwidth {b:.3g})")

@@ -308,6 +308,27 @@ class TestCurveStudy:
             assert np.array_equal(row.ref_density, ref_d)
             assert np.array_equal(row.ref_cdf, ref_c)
 
+    def test_rows_compare_by_value(self):
+        first = run_curve_study(1, (10,), 20, 8)
+        assert first == run_curve_study(1, (10,), 20, 8)
+        assert first != run_curve_study(2, (10,), 20, 8)
+        assert (first[0] == "phi") is False
+        assert first[0] != first[1]
+
+
+# One Philox pass per n serves all three statistics of both studies.
+@pytest.mark.parametrize("study", [run_ks_study, run_curve_study], ids=["kstest", "curves"])
+def test_one_draw_per_sample_size(monkeypatch, study):
+    calls = []
+
+    def spy(seed, n, replications, threads):
+        calls.append(n)
+        return _draw_statistics(seed, n, replications, threads)
+
+    monkeypatch.setattr(simulate, "_draw_statistics", spy)
+    study(seed=1, sample_sizes=(10, 30), replications=50)
+    assert calls == [10, 30]
+
 
 def reference_footrule(x, y):
     """phi from ranks counted as #{j : x_j <= x_i}, for tie-free rows."""

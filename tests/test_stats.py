@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -354,6 +355,17 @@ class TestGaussianKde:
         grid, dens = untiled_kde(x, grid_size)
         assert tiled_grid.tobytes() == grid.tobytes()
         assert tiled_dens.tobytes() == dens.tobytes()
+
+    def test_peak_memory_stays_within_tiles(self):
+        # One untiled (512, 4096) chunk matrix alone would be 16 MiB.
+        x = np.random.default_rng(3).normal(size=10_000)
+        tracemalloc.start()
+        try:
+            gaussian_kde(x, grid_size=512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("grid_size", [8.5, 8.0, 1])
     def test_grid_size_must_be_an_integer_of_at_least_two(self, grid_size):
