@@ -4,16 +4,21 @@ The coefficient for a paired sample is 1 - 3*D/(n^2 - 1) where D is the
 total absolute displacement between the two rank vectors. Under
 independence its null distribution depends only on D's distribution over
 uniformly random permutations, which `enumerate_null_distribution`
-counts exactly, for n up to EXACT_MAX_N, by a dynamic programme over
-open pairs rather than by listing the n! permutations.
+counts exactly, once per n per process, for n up to EXACT_MAX_N, by a
+dynamic programme over open pairs rather than by listing the n!
+permutations.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from itertools import accumulate
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -149,50 +154,111 @@ class ExactNullDistribution:
     `counts[d]` is the number of permutations pi of {1..n} with
     sum_i |i - pi(i)| = d. The totals define the exact null law of the
     coefficient because ranking makes the statistic distribution-free.
+
+    The law is immutable: `counts` is a read-only view of a copy of the
+    mapping passed in, so `enumerate_null_distribution` can hand one law
+    to every caller. Construction also stores the distances in ascending
+    order with their running count sums, from which `two_sided_p` reads
+    both tails by bisection. `phi` and `two_sided_p` accept only an
+    attainable D, an even integer in [0, floor(n^2/2)], and raise
+    ValueError for any other.
     """
 
     n: int
-    counts: dict[int, int] = field(repr=False)
+    counts: Mapping[int, int] = field(repr=False)
+    _distances: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _below: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _check_integer("sample size", self.n))
         if self.n < 2:
             raise SampleSizeError(f"exact null law needs n >= 2, got {self.n}")
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         total = sum(self.counts.values())
         if total != math.factorial(self.n):
             raise ValueError(f"counts sum to {total}, expected {self.n}!")
-        cap = max_distance(self.n)
         for d in self.counts:
-            if d % 2 != 0 or not 0 <= d <= cap:
-                raise ValueError(f"impossible displacement {d}")
+            self._check_distance(d)
         mean_num = 3 * sum(d * c for d, c in self.counts.items())
         if mean_num != (self.n * self.n - 1) * total:
             raise ValueError("mean displacement violates (n^2-1)/3")
+        distances = tuple(sorted(self.counts))
+        object.__setattr__(self, "_distances", distances)
+        # _below[i]: permutations with D below distances[i]; _below[-1] = n!.
+        object.__setattr__(self, "_below", tuple(accumulate(
+            (self.counts[d] for d in distances), initial=0)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle, so a law pickles (and deep-copies) as its arguments.
+        return type(self), (self.n, dict(self.counts))
+
+    def _check_distance(self, distance: int) -> int:
+        """`distance` as a Python int, if some permutation of {1..n} has that D.
+
+        Every even integer in [0, floor(n^2/2)] is attained, and no other:
+        for every n <= EXACT_MAX_N the DP's support is exactly that set.
+        """
+        if isinstance(distance, numbers.Integral):
+            d = int(distance)
+            if d % 2 == 0 and 0 <= d <= max_distance(self.n):
+                return d
+        raise ValueError(f"no permutation of n = {self.n} items has displacement {distance!r}")
 
     @property
     def total(self) -> int:
-        return math.factorial(self.n)
+        """n!, the number of permutations the law counts."""
+        return self._below[-1]
 
     def phi(self, distance: int) -> float:
-        return 1.0 - 3.0 * distance / (self.n * self.n - 1)
+        """The coefficient 1 - 3D/(n^2 - 1) at an attainable D."""
+        return 1.0 - 3.0 * self._check_distance(distance) / (self.n * self.n - 1)
 
     def sorted_items(self) -> Iterator[tuple[int, int]]:
         """(distance, count) pairs in ascending distance order."""
-        return iter(sorted(self.counts.items()))
+        return ((d, self.counts[d]) for d in self._distances)
 
     def two_sided_p(self, distance: int) -> Fraction:
         """Exact P(|phi| >= |phi(distance)|) under the uniform null.
 
-        Compared in integers: |phi(d)| >= |phi(d0)| iff
-        |m - 3d| >= |m - 3d0| with m = n^2 - 1.
+        Compared in integers: with m = n^2 - 1 and ref = |m - 3*distance|,
+        |phi(d)| >= |phi(distance)| iff |m - 3d| >= ref, that is iff
+        3d <= m - ref or 3d >= m + ref. Each tail is one bisection of the
+        sorted distances into their running count sums, so no call loops
+        over the support. At ref = 0 every d qualifies, and both tails
+        would count d = m/3.
         """
         m = self.n * self.n - 1
-        ref = abs(m - 3 * distance)
-        hits = sum(c for d, c in self.counts.items() if abs(m - 3 * d) >= ref)
-        return Fraction(hits, self.total)
+        ref = abs(m - 3 * self._check_distance(distance))
+        if ref == 0:
+            return Fraction(1)
+        total = self._below[-1]
+        lower = self._below[bisect_right(self._distances, (m - ref) // 3)]
+        upper = total - self._below[bisect_left(self._distances, -(-(m + ref) // 3))]
+        return Fraction(lower + upper, total)
+
+
+# One law per n, built on first request; the laws are immutable, so callers share them.
+_NULL_LAWS: dict[int, ExactNullDistribution] = {}
 
 
 def enumerate_null_distribution(n: int) -> ExactNullDistribution:
+    """The exact null law at n: permutations of {1..n} counted by displacement D.
+
+    Each n in 2..EXACT_MAX_N is counted once per process, on its first
+    request, and every later request returns that same immutable law;
+    a numpy integer n shares the entry of its Python int. Holding all 99
+    laws takes about 18 MiB.
+    """
+    n = _check_integer("sample size", n)
+    if not 2 <= n <= EXACT_MAX_N:
+        raise SampleSizeError(f"exact null law needs 2 <= n <= {EXACT_MAX_N}, got {n}")
+    law = _NULL_LAWS.get(n)
+    if law is None:
+        law = _NULL_LAWS[n] = _build_null_distribution(n)
+    return law
+
+
+def _build_null_distribution(n: int) -> ExactNullDistribution:
     """Count the permutations of {1..n} by displacement D, exactly.
 
     Transfer recursion over open pairs (Diaconis & Graham, JRSS-B 1977;
@@ -215,11 +281,8 @@ def enumerate_null_distribution(n: int) -> ExactNullDistribution:
     shifting by k slots multiplies by (D/2)^k. Every coefficient counts
     distinct partial permutations, so none exceeds n! and slots never
     carry into each other. Exact integer arithmetic throughout, O(n^2)
-    big-int operations; capped at n = EXACT_MAX_N.
+    big-int operations; `n` is a Python int in 2..EXACT_MAX_N.
     """
-    n = _check_integer("sample size", n)
-    if not 2 <= n <= EXACT_MAX_N:
-        raise SampleSizeError(f"exact null law needs 2 <= n <= {EXACT_MAX_N}, got {n}")
     width = math.factorial(n).bit_length() // 8 + 1
     slot = 8 * width
     rows = [1]  # rows[k]: packed polynomial of the states with k open pairs

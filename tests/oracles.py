@@ -7,7 +7,7 @@ kernels against them, the exact uniform integrals the closed-form
 variances are built from, and the cross sum merged by one stable sort:
 the reference the double-sum kernel must match bit for bit. The exact moments
 of an exact null law check the closed-form variance and the simulated
-draws.
+draws, and a full sum over its support checks its bisected p-values.
 """
 
 from fractions import Fraction
@@ -62,6 +62,18 @@ def phi_moments_exact(law) -> tuple[Fraction, Fraction]:
     mean = 1 - Fraction(3, m) * mean_d
     var = Fraction(9, m * m) * (mean_d2 - mean_d * mean_d)
     return mean, var
+
+
+def two_sided_p_full_sum(law, distance) -> Fraction:
+    """P(|phi| >= |phi(distance)|) by one pass over the whole support.
+
+    The reference for `ExactNullDistribution.two_sided_p`, which reads the
+    two tails by bisection instead.
+    """
+    m = law.n * law.n - 1
+    ref = abs(m - 3 * distance)
+    hits = sum(c for d, c in law.counts.items() if abs(m - 3 * d) >= ref)
+    return Fraction(hits, law.total)
 
 
 def abs_diff_double_sum_stable(u, v):

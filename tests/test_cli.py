@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from footrule import cli, simulate
+from footrule import cli, ranks, simulate
 from footrule.cli import CliError, main
 from footrule.ranks import EXACT_MAX_N
 
@@ -133,6 +133,24 @@ class TestStatCommand:
         assert main(["stat", str(data), "--exact", "--full-precision"]) == 0
         out = capsys.readouterr().out
         assert f"p-value   {1 / math.factorial(12)!r} (Exact)" in out
+
+    def test_exact_law_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        builds = []
+
+        def spy(n):
+            builds.append(n)
+            return build(n)
+
+        build = ranks._build_null_distribution
+        monkeypatch.setattr(ranks, "_build_null_distribution", spy)
+        monkeypatch.delitem(ranks._NULL_LAWS, 12, raising=False)
+        data = tmp_path / "data.csv"
+        write_lines(data, [f"{i},{(5 * i) % 12}" for i in range(12)])
+        assert main(["stat", str(data), "--exact"]) == 0
+        first = capsys.readouterr().out
+        assert main(["stat", str(data), "--exact"]) == 0
+        assert capsys.readouterr().out == first
+        assert builds == [12]
 
     def test_report_csv(self, tmp_path):
         data = tmp_path / "data.csv"

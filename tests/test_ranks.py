@@ -1,4 +1,8 @@
+import copy
 import math
+import pickle
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from footrule.ranks import (
     footrule_coefficient,
     max_distance,
 )
+from oracles import two_sided_p_full_sum
 
 
 def rank_by_counting(values):
@@ -288,8 +293,7 @@ class TestEnumeration:
     def test_counts_structure(self, n):
         dist = enumerate_null_distribution(n)
         assert sum(dist.counts.values()) == math.factorial(n)
-        assert all(d % 2 == 0 for d in dist.counts)
-        assert min(dist.counts) == 0 and max(dist.counts) == max_distance(n)
+        assert sorted(dist.counts) == list(range(0, max_distance(n) + 1, 2))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_phi_range(self, n):
@@ -328,6 +332,59 @@ class TestEnumeration:
         assert dist.two_sided_p(2) == 1
         # |phi(4)| = 0.5: qualifying D are 0 (1.0) and 4 (0.5)
         assert dist.two_sided_p(4) == pytest.approx(4 / 6)
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_two_sided_p_matches_full_sum(self, n):
+        law = enumerate_null_distribution(n)
+        for d in range(0, max_distance(n) + 1, 2):
+            assert law.two_sided_p(d) == two_sided_p_full_sum(law, d), d
+
+    @pytest.mark.parametrize("distance", [3, -2, 7, 2.0, 2.5, "2", None])
+    def test_unattainable_distance_raises(self, distance):
+        law = enumerate_null_distribution(3)
+        message = f"^no permutation of n = 3 items has displacement {re.escape(repr(distance))}$"
+        with pytest.raises(ValueError, match=message):
+            law.phi(distance)
+        with pytest.raises(ValueError, match=message):
+            law.two_sided_p(distance)
+
+    def test_numpy_integer_distance(self):
+        law = enumerate_null_distribution(3)
+        assert law.phi(np.int64(4)) == law.phi(4) == -0.5
+        assert law.two_sided_p(np.int32(4)) == law.two_sided_p(4)
+
+
+class TestSharedLaw:
+    """One immutable law per n per process."""
+
+    @pytest.mark.parametrize("to_numpy", [int, np.int64])
+    def test_one_law_per_n(self, to_numpy):
+        assert enumerate_null_distribution(to_numpy(19)) is enumerate_null_distribution(19)
+
+    def test_counts_read_only(self):
+        law = enumerate_null_distribution(3)
+        with pytest.raises(TypeError):
+            law.counts[0] = 5
+        assert law.counts == {0: 1, 2: 2, 4: 3}
+
+    def test_law_copies_its_callers_counts(self):
+        counts = {0: 1, 2: 2, 4: 3}
+        law = ExactNullDistribution(n=3, counts=counts)
+        counts[0] = 5
+        del counts[4]
+        assert law.counts == {0: 1, 2: 2, 4: 3}
+        assert law.two_sided_p(4) == Fraction(4, 6)
+
+    def test_law_pickles_and_copies(self):
+        law = enumerate_null_distribution(5)
+        for twin in (pickle.loads(pickle.dumps(law)), copy.deepcopy(law)):
+            assert twin == law and twin.two_sided_p(8) == law.two_sided_p(8)
+
+    def test_user_built_law_equals_shared_law(self):
+        shared = enumerate_null_distribution(4)
+        built = ExactNullDistribution(n=4, counts=dict(shared.counts))
+        assert built == shared and built is not shared
+        assert list(built.sorted_items()) == list(shared.sorted_items())
 
 
 distinct_reals = st.floats(allow_nan=False, allow_infinity=False)
