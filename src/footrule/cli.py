@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import itertools
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -100,11 +102,30 @@ def _to_stdout(emit) -> None:
         raise CliError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
-def _write_csv(path: Path | None, header: list[str], blocks, full_precision: bool) -> None:
-    """Write blocks of columns as CSV; a partial file never survives a failure.
+def _replaced_file(path: Path) -> Path | None:
+    """The regular file that a write to `path` replaces, or None to write in place.
+
+    An existing target that is not a regular file (a FIFO, a device) is
+    written in place, never replaced. Otherwise the file is the path with
+    every symlink resolved, so a link keeps pointing at the new file.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+    except OSError:
+        pass  # no target yet, or none reachable: the write reports why
+    return Path(os.path.realpath(path))
+
+
+def _write_csv(path: Path | None, header: list[str], blocks,
+               full_precision: bool) -> Path | None:
+    """Write blocks of columns as CSV, and return the regular file written.
 
     Each block is formatted and written before the next one is taken from
-    `blocks`, so only one block's text is held at a time.
+    `blocks`, so only one block's text is held at a time. A regular file
+    (see `_replaced_file`) is written as `<file>.tmp` beside it and then
+    renamed over it, so a partial file never survives a failure; a FIFO
+    or device is written in place, and None is returned.
     """
     fmt = _float_format(full_precision)
 
@@ -115,17 +136,21 @@ def _write_csv(path: Path | None, header: list[str], blocks, full_precision: boo
 
     if path is None:
         _to_stdout(emit)
-        return
-    tmp = path.with_name(path.name + ".tmp")
+        return None
+    target = _replaced_file(path)
+    tmp = target and target.with_name(target.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+        with open(tmp or path, "w", encoding="utf-8", newline="") as handle:
             emit(handle)
-        os.replace(tmp, path)
+        if tmp:
+            os.replace(tmp, target)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        if tmp:
+            tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
+    return target
 
 
 # Bytes per read of a `stat` input.
@@ -339,19 +364,25 @@ def _cmd_stat(args: argparse.Namespace) -> int:
 def _out_path(out: str | Path | None) -> Path | None:
     """The --out path, checked before the command's work starts.
 
-    A path naming a directory, or a missing or unwritable directory,
-    fails at once instead of after a whole study or exact-law build;
-    `_write_csv` still reports any later write error.
+    A path naming a directory, a FIFO or device that is not writable, or
+    a regular file whose directory is missing or unwritable, fails at
+    once instead of after a whole study or exact-law build; `_write_csv`
+    still reports any later write error.
     """
     if not out:
         return None
     path = Path(out)
     if path.is_dir():
         raise CliError(f"cannot write {path}: Is a directory")
-    if not path.parent.is_dir():
-        raise CliError(f"cannot write {path}: no directory {path.parent}")
-    if not os.access(path.parent, os.W_OK | os.X_OK):
-        raise CliError(f"cannot write {path}: directory {path.parent} is not writable")
+    target = _replaced_file(path)
+    if target is None:
+        if not os.access(path, os.W_OK):
+            raise CliError(f"cannot write {path}: {os.strerror(errno.EACCES)}")
+        return path
+    if not target.parent.is_dir():
+        raise CliError(f"cannot write {path}: no directory {target.parent}")
+    if not os.access(target.parent, os.W_OK | os.X_OK):
+        raise CliError(f"cannot write {path}: directory {target.parent} is not writable")
     return path
 
 
@@ -430,16 +461,17 @@ def _cmd_simulate_curves(args: argparse.Namespace) -> int:
     # Both files share each curve's grid, so it is formatted once.
     fmt = _float_format(args.full_precision)
     grids = [list(_cells(e.grid, fmt)) for e in entries]
-    _write_csv(density_path, ["statistic", "n", "grid", "density", "ref_density"],
-               (_curve_block(e, g, e.density, e.ref_density)
-                for e, g in zip(entries, grids)),
-               args.full_precision)
+    density_file = _write_csv(
+        density_path, ["statistic", "n", "grid", "density", "ref_density"],
+        (_curve_block(e, g, e.density, e.ref_density) for e, g in zip(entries, grids)),
+        args.full_precision)
     try:
         _write_csv(cdf_path, ["statistic", "n", "grid", "cdf", "ref_cdf"],
                    (_curve_block(e, g, e.cdf, e.ref_cdf) for e, g in zip(entries, grids)),
                    args.full_precision)
     except BaseException:
-        density_path.unlink(missing_ok=True)
+        if density_file is not None:
+            density_file.unlink(missing_ok=True)
         raise
     return EXIT_OK
 

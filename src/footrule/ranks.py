@@ -97,22 +97,32 @@ def _rank_rows(values: np.ndarray):
     order, so numpy's default (unstable, SIMD) argsort gives the same
     ranks as a stable one; the ranks are the true ranks only where the
     tie flag is False.
+
+    Memory is held near its floor for a large single row: a strided 1-D
+    row (a CSV column) is indexed in place, where `ravel` would copy it;
+    the sorted row is freed before the ranks are allocated; and the
+    ranks are int32 below n = 2^31. Ranks never exceed n and |r - s| < n,
+    so int32 holds every rank and displacement there; from 2^31 on the
+    ranks keep the index type.
     """
     order = np.argsort(values, axis=-1)
     n = order.shape[-1]
     if order.size != n:
         order += np.arange(0, order.size, n).reshape(order.shape[:-1] + (1,))
-    sv = values.ravel()[order]
+    sv = values.reshape(-1)[order]
     tied = (sv[..., 1:] == sv[..., :-1]).any(axis=-1)
-    ranks = np.empty(order.size, dtype=order.dtype)
-    ranks[order] = np.arange(1, n + 1)
+    del sv
+    dtype = np.int32 if n < 2**31 else np.intp
+    ranks = np.empty(order.size, dtype=dtype)
+    ranks[order] = np.arange(1, n + 1, dtype=dtype)
     return ranks.reshape(order.shape), tied
 
 
 def _footrule_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     """D, the coefficient and each margin's tie flag, per paired row (last axis).
 
-    Ranks both margins and forms D = sum |r - s| and 1 - 3D/(n^2 - 1).
+    Ranks both margins and forms D = sum |r - s|, summed as int64 whatever
+    the rank type, and 1 - 3D/(n^2 - 1).
     Both `footrule_coefficient` (one row) and the simulation engine
     (batches) call it, without validation. A row whose x or y flag is
     set has meaningless D and coefficient: the caller raises or, in the
@@ -121,7 +131,7 @@ def _footrule_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     r, x_tied = _rank_rows(x)
     s, y_tied = _rank_rows(y)
     n = r.shape[-1]
-    d = np.abs(r - s).sum(axis=-1)
+    d = np.abs(r - s).sum(axis=-1, dtype=np.int64)
     return d, 1.0 - 3.0 * d / (n * n - 1), x_tied, y_tied
 
 

@@ -4,8 +4,10 @@ import errno
 import io
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -556,6 +558,62 @@ class TestExactCommand:
         assert main(["exact", "2"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "d,count,phi,probability"
+
+
+class TestOutTargets:
+    """--out replaces a regular file, through any symlink, and writes anything else in place."""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        assert main(["exact", "3"]) == 0
+        expected = capsys.readouterr().out.encode()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        # A daemon thread: a run that never opens the FIFO leaves it blocked in open.
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        assert main(["exact", "3", "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [expected]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["target", "dangling"])
+    def test_symlink_keeps_its_link(self, tmp_path, capsys, existing):
+        assert main(["exact", "3"]) == 0
+        expected = capsys.readouterr().out
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "null3.csv"
+        if existing:
+            target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(Path("data") / "null3.csv")
+        assert main(["exact", "3", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(Path("data") / "null3.csv")
+        assert target.read_text() == expected
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.csv", "null3.csv"]
+
+    def test_curves_failure_removes_the_linked_density_file(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # The density file is written through its link; the cdf path then fails.
+        (tmp_path / "c_density.csv").symlink_to("real_density.csv")
+        study = cli.run_curve_study
+
+        def study_then_block_cdf(**kwargs):
+            (tmp_path / "c_cdf.csv").mkdir()
+            return study(**kwargs)
+
+        monkeypatch.setattr(cli, "run_curve_study", study_then_block_cdf)
+        assert main([
+            "simulate", "curves", "--n-list", "10", "--reps", "20", "--grid-size", "16",
+            "--out", str(tmp_path / "c"),
+        ]) == 2
+        assert capsys.readouterr().err.startswith("footrule: cannot write")
+        assert (tmp_path / "c_density.csv").is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c_cdf.csv", "c_density.csv"]
 
 
 class TestStdoutWriteErrors:

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -126,8 +127,9 @@ class TestComputeRanks:
 
     def test_rank_rows_match_double_argsort_per_row(self):
         # Batches with and without ties, a strided slice as the engine
-        # passes, one row and a 1-D row: an untied row's ranks are its
-        # stable double argsort plus one, and the flag marks each tied row.
+        # passes, one row, a 1-D row and a strided 1-D column as `stat`
+        # passes: an untied row's ranks are its stable double argsort plus
+        # one, and the flag marks each tied row.
         rng = np.random.default_rng(17)
         untied = rng.random((40, 13))
         tied = untied.copy()
@@ -135,7 +137,9 @@ class TestComputeRanks:
         tied[1::4, 0] = tied[1::4, 1]
         block = rng.random((40, 3, 26))
         block[::3, 1, 5] = block[::3, 1, 11]
-        for values in (untied, tied, tied[:, ::-1], block[:, 1, :13], tied[:1], tied[0]):
+        column = untied.T[4]
+        for values in (untied, tied, tied[:, ::-1], block[:, 1, :13], tied[:1], tied[0],
+                       column):
             ranks, flags = _rank_rows(values)
             assert ranks.shape == values.shape
             rows, ranks = np.atleast_2d(values), np.atleast_2d(ranks)
@@ -145,6 +149,22 @@ class TestComputeRanks:
                 if not flag:
                     stable = np.argsort(np.argsort(row, kind="stable"), kind="stable") + 1
                     assert r.tolist() == stable.tolist()
+
+    def test_strided_columns_ranked_near_memory_floor(self):
+        # The two columns of one (n, 2) buffer, as `stat` reads a CSV: the
+        # sort order and the freed sorted row (16 B/row) plus one margin's
+        # int32 ranks (4 B/row), and no copy of either column.
+        rows = 100_000
+        x, y = np.random.default_rng(5).random((rows, 2)).T
+        sample = PairedSample(x, y)
+        tracemalloc.start()
+        try:
+            result = footrule_coefficient(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.n == rows
+        assert peak < 24 * rows
 
     def test_nonfinite_rejected(self):
         for bad in ([1.0, math.nan, 2.0], [1.0, math.inf, 2.0]):
