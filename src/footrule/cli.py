@@ -102,6 +102,19 @@ def _to_stdout(emit) -> None:
         raise CliError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
+def _is_stdout(path: Path) -> bool:
+    """Whether `path` is the file open on fd 1, as `/dev/stdout` is.
+
+    False when `sys.stdout` has no file descriptor (an in-process
+    redirection) or either file cannot be stat'ed.
+    """
+    try:
+        out, target = os.fstat(sys.stdout.fileno()), os.stat(path)
+    except (AttributeError, ValueError, OSError):
+        return False
+    return (out.st_dev, out.st_ino) == (target.st_dev, target.st_ino)
+
+
 def _replaced_file(path: Path) -> Path | None:
     """The regular file that a write to `path` replaces, or None to write in place.
 
@@ -125,7 +138,9 @@ def _write_csv(path: Path | None, header: list[str], blocks,
     `blocks`, so only one block's text is held at a time. A regular file
     (see `_replaced_file`) is written as `<file>.tmp` beside it and then
     renamed over it, so a partial file never survives a failure; a FIFO
-    or device is written in place, and None is returned.
+    or device is written in place, and None is returned. The file open on
+    stdout is written through `sys.stdout`, so what is printed after it
+    follows it in the same file, and None is returned.
     """
     fmt = _float_format(full_precision)
 
@@ -134,7 +149,7 @@ def _write_csv(path: Path | None, header: list[str], blocks,
         for block in blocks:
             handle.write(_block_text(block, fmt))
 
-    if path is None:
+    if path is None or _is_stdout(path):
         _to_stdout(emit)
         return None
     target = _replaced_file(path)
@@ -213,20 +228,30 @@ def _record_number(index: int, skipped: list[int]) -> int:
     return number
 
 
+def _plain(text: str) -> bool:
+    """Whether the csv reader would split each line of `text` at the commas alone.
+
+    That holds when it has no quote, CR or NUL and is shorter than the csv
+    module's field size limit.
+    """
+    return not ('"' in text or "\r" in text or "\0" in text
+                or len(text) >= csv.field_size_limit())
+
+
 def _plain_rows(text: str) -> np.ndarray | None:
     """The (x, y) rows of a plain block, parsed by numpy's C reader, or None.
 
-    A block is plain when it has no quote, CR or NUL and no blank record,
-    and is shorter than the csv module's field size limit: the csv reader
-    would split each of its lines at the commas alone. `np.loadtxt` reads
-    each cell with the `PyOS_string_to_double` that `float` uses and
-    rejects what `float` reads differently (underscores, non-ASCII
-    digits), so its values are bit for bit those of the csv loop. None,
-    also where it fails or does not give two cells on every line, sends
-    the block to the csv loop, which names the block's first bad record.
+    A block is read here when it is plain (see `_plain`) and does not
+    start with a blank record. `np.loadtxt` reads each cell with the
+    `PyOS_string_to_double` that `float` uses and rejects what `float`
+    reads differently (underscores, non-ASCII digits), so its values are
+    bit for bit those of the csv loop. It skips blank lines, so a blank
+    record further on leaves fewer rows than lines. None, also where it
+    fails or does not give two cells on every line, sends the block to
+    the csv loop, which names the block's first bad record.
     """
-    if ('"' in text or "\r" in text or "\0" in text or "\n\n" in text
-            or text.startswith("\n") or len(text) >= csv.field_size_limit()):
+    # A block of newlines alone would make loadtxt warn that it has no data.
+    if not _plain(text) or text.startswith("\n"):
         return None
     if not text:
         return np.empty((0, 2))
@@ -243,14 +268,17 @@ def _read_paired_csv(path: str, has_header: bool) -> tuple[PairedSample, list[in
     """The two columns of a `stat` CSV, and the numbers of its non-data records.
 
     The input is read once, as a stream, so a pipe works; lines end at
-    CR, LF or CR LF. A decoded block is parsed by numpy's C reader if it
-    is plain (see `_plain_rows`) and no header is pending, and otherwise
-    record by record by the csv module; a block with a quote sends itself
-    and every later block to one csv reader, since a quoted field may
-    span blocks. Only floats are kept. The first bad record in file order exits 2 with its
-    csv record number: records are read up to a malformed or unreadable
-    one, and a NaN or infinite value among them is found by one numpy
-    check.
+    CR, LF or CR LF. While a header is pending, a block whose first line
+    is non-blank and plain (see `_plain`) drops that line as the header
+    record. A decoded block, or what is left of it, is parsed by numpy's
+    C reader if no header is pending and `_plain_rows` takes it, and
+    otherwise record by record by the csv module; a block with a quote
+    sends itself and every later block to one csv reader, since a quoted
+    field may span blocks. Only floats are kept. The first bad record in
+    file order exits 2 with its csv record number: records are read up
+    to a malformed or unreadable one, and a NaN or infinite value among
+    them is found by one numpy check, whose row is located only if there
+    is one.
     """
     try:
         handle = open(path, "rb")
@@ -289,6 +317,13 @@ def _read_paired_csv(path: str, has_header: bool) -> tuple[PairedSample, list[in
         blocks = _text_blocks(handle)
         try:
             for text in blocks:
+                if header:
+                    line, _, rest = text.partition("\n")
+                    if line and _plain(line):
+                        records += 1
+                        skipped.append(records)
+                        header = False
+                        text = rest
                 rows = None if header else _plain_rows(text)
                 if rows is None:
                     lines = io.StringIO(text, newline="")
@@ -306,9 +341,9 @@ def _read_paired_csv(path: str, has_header: bool) -> tuple[PairedSample, list[in
                     break
         except (UnicodeError, OSError) as exc:
             error = CliError(f"cannot read {path}: {exc}")
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad.size:
-        raise CliError(f"row {_record_number(int(bad[0]), skipped)}: NaN or infinite value")
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))[0]
+        raise CliError(f"row {_record_number(int(bad), skipped)}: NaN or infinite value")
     if error is not None:
         raise error
     if len(values) < 2:

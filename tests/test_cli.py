@@ -289,6 +289,11 @@ def csv_bytes(draw):
     return body[:-1] if body.endswith(b"\n") and draw(st.booleans()) else body
 
 
+def numbered_rows(start, stop):
+    """Plain CSV rows `i.25,-i` for i in [start, stop): about 12 bytes a row."""
+    return b"".join(b"%d.25,%d\n" % (i, -i) for i in range(start, stop))
+
+
 class TestStatReader:
     """The streaming reader against the row-wise reference, on fuzzed input."""
 
@@ -376,6 +381,28 @@ class TestStatReader:
     @example(data=b"\xef\xbb\xbf\xef\xbb\xbf1,2\n3,4\n", header=False, block=1 << 16,
              limit=DEFAULT_FIELD_LIMIT)
     @example(data=b"1,2\n\xef\xbb\xbf3,4\n", header=False, block=1, limit=DEFAULT_FIELD_LIMIT)
+    # A blank record mid-block leaves numpy's reader a row short, so the csv
+    # reader reads that block; record numbers in later blocks still count it.
+    @example(data=numbered_rows(0, 2000) + b"\n" + numbered_rows(2000, 8000) + b"1,x\n",
+             header=False, block=1 << 16, limit=DEFAULT_FIELD_LIMIT)
+    # A plain header line is dropped in place, and counted, over several blocks.
+    @example(data=b"x,y\n" + numbered_rows(0, 8000) + b"1,x\n", header=True, block=1 << 16,
+             limit=DEFAULT_FIELD_LIMIT)
+    @example(data=b"x,y\n" + numbered_rows(0, 6000) + b"nan,1\n" + numbered_rows(6000, 8000),
+             header=True, block=1 << 16, limit=DEFAULT_FIELD_LIMIT)
+    # A header line with a quote, CR or NUL, or as long as the field size limit,
+    # goes to the csv reader.
+    @example(data=b'"x",y\n1,2\n3,4\n', header=True, block=1 << 16, limit=DEFAULT_FIELD_LIMIT)
+    @example(data=b"x\ry\n1,2\n3,4\n", header=True, block=1 << 16, limit=DEFAULT_FIELD_LIMIT)
+    @example(data=b"x\0,y\n1,2\n3,4\n", header=True, block=1 << 16, limit=DEFAULT_FIELD_LIMIT)
+    @example(data=b"h" * 40 + b"\n1,2\n3,4\n", header=True, block=1 << 16, limit=FIELD_LIMIT)
+    @example(data=b"h" * FIELD_LIMIT + b"\n1,2\n3,4\n", header=True, block=1 << 16,
+             limit=FIELD_LIMIT)
+    # A block of newlines alone, with and without a pending header.
+    @example(data=b"\n" * (1 << 16) + b"x,y\n1,2\n3,4\n", header=True, block=1 << 16,
+             limit=DEFAULT_FIELD_LIMIT)
+    @example(data=b"\n" * (1 << 16) + b"x,y\n1,2\n3,4\n", header=False, block=1 << 16,
+             limit=DEFAULT_FIELD_LIMIT)
     def test_matches_reference(self, tmp_path_factory, data, header, block, limit):
         path = tmp_path_factory.getbasetemp() / "fuzz.csv"
         path.write_bytes(data)
@@ -421,6 +448,22 @@ class TestStatReader:
 
         monkeypatch.setattr(cli, "open", lambda path, mode: FailingRead(first), raising=False)
         assert run_main(["stat", "data.csv"]) == (2, "", f"footrule: {message}\n")
+
+    def test_plain_header_skips_the_csv_reader(self, tmp_path, monkeypatch):
+        # The header line is dropped in place and the rest of its block goes to
+        # numpy's reader, as every block of the same rows without a header does.
+        csv.field_size_limit(DEFAULT_FIELD_LIMIT)
+        plain, headed = tmp_path / "plain.csv", tmp_path / "headed.csv"
+        plain.write_bytes(numbered_rows(0, 3000))
+        headed.write_bytes(b"x,y\n" + numbered_rows(0, 3000))
+        expected = run_main(["stat", str(plain)])
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(cli.csv, "reader", no_reader)
+        assert run_main(["stat", str(headed), "--header"]) == expected
+        assert expected[0] == 0 and "n         3000\n" in expected[1]
 
     def test_reads_a_leading_byte_order_mark(self, tmp_path, capsys):
         # Spreadsheet "CSV UTF-8" exports start with one.
@@ -561,7 +604,10 @@ class TestExactCommand:
 
 
 class TestOutTargets:
-    """--out replaces a regular file, through any symlink, and writes anything else in place."""
+    """--out replaces a regular file, through any symlink, and writes anything else in place.
+
+    The file open on stdout is written through stdout.
+    """
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
     def test_fifo_is_written_in_place(self, tmp_path, capsys):
@@ -595,6 +641,32 @@ class TestOutTargets:
         assert link.is_symlink() and os.readlink(link) == str(Path("data") / "null3.csv")
         assert target.read_text() == expected
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.csv", "null3.csv"]
+
+    @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
+    def test_stdout_redirected_to_a_file_keeps_the_report(self, tmp_path):
+        # The CSV, then the report, both written through stdout into the file.
+        data, report = tmp_path / "data.csv", tmp_path / "report.csv"
+        write_lines(data, ["0.3,1.0", "0.1,2.0", "0.7,0.5", "0.2,4.0"])
+        code, printed, _ = run_main(["stat", str(data), "--out", str(report)])
+        assert code == 0
+        both = tmp_path / "both.txt"
+        with open(both, "wb") as handle:
+            proc = run_fresh(["stat", str(data), "--out", "/dev/stdout"], stdout=handle)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert both.read_bytes() == report.read_bytes() + printed.encode()
+        assert "p-value" in both.read_text()
+
+    @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
+    def test_stdout_redirected_to_a_file_holds_the_csv(self, tmp_path):
+        outputs = []
+        for argv in (["exact", "3"], ["exact", "3", "--out", "/dev/stdout"]):
+            path = tmp_path / f"exact{len(outputs)}.csv"
+            with open(path, "wb") as handle:
+                proc = run_fresh(argv, stdout=handle)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.append(path.read_bytes())
+        assert outputs[1] == outputs[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exact0.csv", "exact1.csv"]
 
     def test_curves_failure_removes_the_linked_density_file(self, tmp_path, monkeypatch,
                                                            capsys):
