@@ -102,45 +102,58 @@ def _to_stdout(emit) -> None:
         raise CliError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
-def _is_stdout(path: Path) -> bool:
-    """Whether `path` is the file open on fd 1, as `/dev/stdout` is.
+def _out_target(out: str | Path | None) -> tuple[Path, Path | None] | None:
+    """Where a command's CSV goes, decided once, before the command's work starts.
 
-    False when `sys.stdout` has no file descriptor (an in-process
-    redirection) or either file cannot be stat'ed.
+    None: stdout, for no --out and for a path naming the file open on
+    fd 1 (`/dev/stdout`), so what is printed after the CSV follows it.
+    (path, None): an existing FIFO or device, written in place.
+    (path, file): a regular file, written as `<file>.tmp` and renamed
+    over `file`, the path with every symlink resolved, so a link keeps
+    pointing at the new file.
+
+    An empty path, a directory, an unwritable FIFO or device, or a missing
+    or unwritable directory fails at once instead of after a whole study
+    or exact-law build; `_write_csv` still reports any later write error.
     """
+    if out is None:
+        return None
+    if not out:  # checked before Path(""), which is ".", the working directory
+        raise CliError("--out is an empty path")
+    path = Path(out)
     try:
-        out, target = os.fstat(sys.stdout.fileno()), os.stat(path)
-    except (AttributeError, ValueError, OSError):
-        return False
-    return (out.st_dev, out.st_ino) == (target.st_dev, target.st_ino)
-
-
-def _replaced_file(path: Path) -> Path | None:
-    """The regular file that a write to `path` replaces, or None to write in place.
-
-    An existing target that is not a regular file (a FIFO, a device) is
-    written in place, never replaced. Otherwise the file is the path with
-    every symlink resolved, so a link keeps pointing at the new file.
-    """
-    try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
+        info = os.stat(path)
     except OSError:
-        pass  # no target yet, or none reachable: the write reports why
-    return Path(os.path.realpath(path))
+        pass  # no target yet, or none reachable: the directory checks say why
+    else:
+        if stat.S_ISDIR(info.st_mode):
+            raise CliError(f"cannot write {path}: Is a directory")
+        try:
+            if os.path.samestat(info, os.fstat(sys.stdout.fileno())):
+                return None
+        except (AttributeError, ValueError, OSError):
+            pass  # no file descriptor on sys.stdout: an in-process redirection
+        if not stat.S_ISREG(info.st_mode):
+            if not os.access(path, os.W_OK):
+                raise CliError(f"cannot write {path}: {os.strerror(errno.EACCES)}")
+            return path, None
+    file = Path(os.path.realpath(path))
+    if not file.parent.is_dir():
+        raise CliError(f"cannot write {path}: no directory {file.parent}")
+    if not os.access(file.parent, os.W_OK | os.X_OK):
+        raise CliError(f"cannot write {path}: directory {file.parent} is not writable")
+    return path, file
 
 
-def _write_csv(path: Path | None, header: list[str], blocks,
-               full_precision: bool) -> Path | None:
-    """Write blocks of columns as CSV, and return the regular file written.
+def _write_csv(target: tuple[Path, Path | None] | None, header: list[str], blocks,
+               full_precision: bool) -> None:
+    """Write blocks of columns as CSV to a target that `_out_target` resolved.
 
     Each block is formatted and written before the next one is taken from
-    `blocks`, so only one block's text is held at a time. A regular file
-    (see `_replaced_file`) is written as `<file>.tmp` beside it and then
-    renamed over it, so a partial file never survives a failure; a FIFO
-    or device is written in place, and None is returned. The file open on
-    stdout is written through `sys.stdout`, so what is printed after it
-    follows it in the same file, and None is returned.
+    `blocks`, so only one block's text is held at a time. Stdout is
+    written through `sys.stdout`; a regular file as `<file>.tmp`, then
+    renamed over it, so a partial file never survives a failure; a FIFO or
+    device in place.
     """
     fmt = _float_format(full_precision)
 
@@ -149,23 +162,22 @@ def _write_csv(path: Path | None, header: list[str], blocks,
         for block in blocks:
             handle.write(_block_text(block, fmt))
 
-    if path is None or _is_stdout(path):
+    if target is None:
         _to_stdout(emit)
-        return None
-    target = _replaced_file(path)
-    tmp = target and target.with_name(target.name + ".tmp")
+        return
+    path, file = target
+    tmp = file and file.with_name(file.name + ".tmp")
     try:
         with open(tmp or path, "w", encoding="utf-8", newline="") as handle:
             emit(handle)
         if tmp:
-            os.replace(tmp, target)
+            os.replace(tmp, file)
     except BaseException as exc:
         if tmp:
             tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
-    return target
 
 
 # Bytes per read of a `stat` input.
@@ -365,6 +377,7 @@ def _tie_error(sample: PairedSample, skipped: list[int], exc: TiesError) -> CliE
 
 
 def _cmd_stat(args: argparse.Namespace) -> int:
+    target = _out_target(args.out)
     sample, skipped = _read_paired_csv(args.input, args.header)
     try:
         result = footrule_coefficient(sample)
@@ -378,9 +391,9 @@ def _cmd_stat(args: argparse.Namespace) -> int:
         p = 2.0 * (1.0 - normal_cdf(abs(z)))
         method = METHOD_NORMAL
     # The CSV goes first, so a run whose --out fails prints no report.
-    if args.out:
+    if args.out is not None:
         _write_csv(
-            Path(args.out),
+            target,
             ["n", "distance", "phi", "z", "p_value", "method"],
             [([result.n], [result.distance], np.array([result.phi]), np.array([z]),
               np.array([p]), [method])],
@@ -396,40 +409,15 @@ def _cmd_stat(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _out_path(out: str | Path | None) -> Path | None:
-    """The --out path, checked before the command's work starts.
-
-    A path naming a directory, a FIFO or device that is not writable, or
-    a regular file whose directory is missing or unwritable, fails at
-    once instead of after a whole study or exact-law build; `_write_csv`
-    still reports any later write error.
-    """
-    if not out:
-        return None
-    path = Path(out)
-    if path.is_dir():
-        raise CliError(f"cannot write {path}: Is a directory")
-    target = _replaced_file(path)
-    if target is None:
-        if not os.access(path, os.W_OK):
-            raise CliError(f"cannot write {path}: {os.strerror(errno.EACCES)}")
-        return path
-    if not target.parent.is_dir():
-        raise CliError(f"cannot write {path}: no directory {target.parent}")
-    if not os.access(target.parent, os.W_OK | os.X_OK):
-        raise CliError(f"cannot write {path}: directory {target.parent} is not writable")
-    return path
-
-
 def _cmd_exact(args: argparse.Namespace) -> int:
-    path = _out_path(args.out)
+    target = _out_target(args.out)
     dist = enumerate_null_distribution(args.n)
     distances, counts = zip(*dist.sorted_items())
     # Exact integer division: each probability is the correctly rounded float.
     total = dist.total
     block = (distances, counts, np.array([dist.phi(d) for d in distances]),
              np.array([count / total for count in counts]))
-    _write_csv(path, ["d", "count", "phi", "probability"], [block], args.full_precision)
+    _write_csv(target, ["d", "count", "phi", "probability"], [block], args.full_precision)
     return EXIT_OK
 
 
@@ -447,7 +435,7 @@ def _study_settings(args: argparse.Namespace) -> dict:
 
 
 def _cmd_simulate_moments(args: argparse.Namespace) -> int:
-    path = _out_path(args.out)
+    target = _out_target(args.out)
     rows = []
     for entry in run_moment_study(**_study_settings(args)):
         s = entry.summary
@@ -459,19 +447,19 @@ def _cmd_simulate_moments(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     labels, sizes, *floats = zip(*rows)
-    _write_csv(path, ["statistic", "n", "em", "ev", "bias", "rmse"],
+    _write_csv(target, ["statistic", "n", "em", "ev", "bias", "rmse"],
                [(labels, sizes, *map(np.array, floats))], args.full_precision)
     return EXIT_OK
 
 
 def _cmd_simulate_kstest(args: argparse.Namespace) -> int:
-    path = _out_path(args.out)
+    target = _out_target(args.out)
     rows = [
         [entry.n, entry.combination, entry.outcome.statistic, entry.outcome.p_value]
         for entry in run_ks_study(**_study_settings(args))
     ]
     sizes, combinations, *floats = zip(*rows)
-    _write_csv(path, ["n", "combination", "ks_stat", "p_value"],
+    _write_csv(target, ["n", "combination", "ks_stat", "p_value"],
                [(sizes, combinations, *map(np.array, floats))], args.full_precision)
     return EXIT_OK
 
@@ -491,21 +479,22 @@ def _curve_block(entry: CurveRow, grid: list[str], values: np.ndarray,
 def _cmd_simulate_curves(args: argparse.Namespace) -> int:
     if not args.out:
         raise CliError("curves writes two files; --out is required")
-    density_path, cdf_path = map(_out_path, _curve_paths(Path(args.out)))
+    density, cdf = map(_out_target, _curve_paths(Path(args.out)))
     entries = run_curve_study(**_study_settings(args), grid_size=args.grid_size)
     # Both files share each curve's grid, so it is formatted once.
     fmt = _float_format(args.full_precision)
     grids = [list(_cells(e.grid, fmt)) for e in entries]
-    density_file = _write_csv(
-        density_path, ["statistic", "n", "grid", "density", "ref_density"],
+    _write_csv(
+        density, ["statistic", "n", "grid", "density", "ref_density"],
         (_curve_block(e, g, e.density, e.ref_density) for e, g in zip(entries, grids)),
         args.full_precision)
     try:
-        _write_csv(cdf_path, ["statistic", "n", "grid", "cdf", "ref_cdf"],
+        _write_csv(cdf, ["statistic", "n", "grid", "cdf", "ref_cdf"],
                    (_curve_block(e, g, e.cdf, e.ref_cdf) for e, g in zip(entries, grids)),
                    args.full_precision)
     except BaseException:
-        if density_file is not None:
+        density_file = density and density[1]
+        if density_file:
             density_file.unlink(missing_ok=True)
         raise
     return EXIT_OK

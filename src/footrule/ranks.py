@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -167,35 +166,36 @@ class ExactNullDistribution:
 
     The law is immutable: `counts` is a read-only view of a copy of the
     mapping passed in, so `enumerate_null_distribution` can hand one law
-    to every caller. Construction checks n and every key, then stores the
-    distances in ascending order with their running count sums, from which
-    `two_sided_p` reads both tails by bisection; the last sum must be n!,
-    and the mean D (n^2 - 1)/3. `phi` and `two_sided_p` accept only an
-    attainable D, an even integer in [0, floor(n^2/2)], and raise
+    to every caller. Construction checks n, that the keys are exactly the
+    attainable distances, the even integers 0..floor(n^2/2), and that
+    every count is a positive integer; the running count sums must end at
+    n!, and the mean D must be (n^2 - 1)/3. `two_sided_p` reads both
+    tails by index into the running sums, since distance d sits at d/2.
+    `phi` and `two_sided_p` accept only an attainable D and raise
     ValueError for any other.
     """
 
     n: int
     counts: Mapping[int, int] = field(repr=False)
-    _distances: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _below: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _check_integer("sample size", self.n))
         if self.n < 2:
             raise SampleSizeError(f"exact null law needs n >= 2, got {self.n}")
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
-        for d in self.counts:
-            self._check_distance(d)
-        distances = tuple(sorted(self.counts))
-        object.__setattr__(self, "_distances", distances)
-        # _below[i]: permutations with D below distances[i]; _below[-1] = n!.
-        object.__setattr__(self, "_below", tuple(accumulate(
-            (self.counts[d] for d in distances), initial=0)))
+        support = range(0, max_distance(self.n) + 1, 2)
+        if self.counts.keys() != set(support):
+            raise ValueError(f"counts must have exactly the even distances 0..{support[-1]}")
+        counts = {d: _check_integer("count", self.counts[d]) for d in support}
+        if min(counts.values()) < 1:
+            raise ValueError("every count must be positive")
+        object.__setattr__(self, "counts", MappingProxyType(counts))
+        # _below[j]: permutations with D below 2j; _below[-1] = n!.
+        object.__setattr__(self, "_below", tuple(accumulate(counts.values(), initial=0)))
         total = self._below[-1]
         if total != math.factorial(self.n):
             raise ValueError(f"counts sum to {total}, expected {self.n}!")
-        mean_num = 3 * sum(d * c for d, c in self.counts.items())
+        mean_num = 3 * sum(d * c for d, c in counts.items())
         if mean_num != (self.n * self.n - 1) * total:
             raise ValueError("mean displacement violates (n^2-1)/3")
 
@@ -226,26 +226,27 @@ class ExactNullDistribution:
 
     def sorted_items(self) -> Iterator[tuple[int, int]]:
         """(distance, count) pairs in ascending distance order."""
-        return ((d, self.counts[d]) for d in self._distances)
+        return ((d, self.counts[d]) for d in range(0, max_distance(self.n) + 1, 2))
 
     def two_sided_p(self, distance: int) -> Fraction:
         """Exact P(|phi| >= |phi(distance)|) under the uniform null.
 
         Compared in integers: with m = n^2 - 1 and ref = |m - 3*distance|,
         |phi(d)| >= |phi(distance)| iff |m - 3d| >= ref, that is iff
-        3d <= m - ref or 3d >= m + ref. Each tail is one bisection of the
-        sorted distances into their running count sums, so no call loops
-        over the support. At ref = 0 every d qualifies, and both tails
-        would count d = m/3.
+        3d <= m - ref or 3d >= m + ref. Distance d sits at index d/2 of
+        the running count sums, so each tail is one index: the d <= (m - ref)/3
+        are the first (m - ref)//6 + 1, and the d >= (m + ref)/3 all but the
+        first ceil((m + ref)/6), capped at the support. At ref = 0 every d
+        qualifies, and both tails would count d = m/3.
         """
         m = self.n * self.n - 1
         ref = abs(m - 3 * self._check_distance(distance))
         if ref == 0:
             return Fraction(1)
-        total = self._below[-1]
-        lower = self._below[bisect_right(self._distances, (m - ref) // 3)]
-        upper = total - self._below[bisect_left(self._distances, -(-(m + ref) // 3))]
-        return Fraction(lower + upper, total)
+        below = self._below
+        lower = below[(m - ref) // 6 + 1]
+        upper = below[-1] - below[min(-(-(m + ref) // 6), len(below) - 1)]
+        return Fraction(lower + upper, below[-1])
 
 
 # One law per n, built on first request; the laws are immutable, so callers share them.

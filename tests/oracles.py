@@ -7,7 +7,7 @@ kernels against them, the exact uniform integrals the closed-form
 variances are built from, and the cross sum merged by one stable sort:
 the reference the double-sum kernel must match bit for bit. The exact moments
 of an exact null law check the closed-form variance and the simulated
-draws, and a full sum over its support checks its bisected p-values.
+draws, and a full sum over its support checks its indexed p-values.
 """
 
 from fractions import Fraction
@@ -68,7 +68,7 @@ def two_sided_p_full_sum(law, distance) -> Fraction:
     """P(|phi| >= |phi(distance)|) by one pass over the whole support.
 
     The reference for `ExactNullDistribution.two_sided_p`, which reads the
-    two tails by bisection instead.
+    two tails by index into its running count sums instead.
     """
     m = law.n * law.n - 1
     ref = abs(m - 3 * distance)

@@ -778,7 +778,7 @@ def test_block_writer_matches_row_writer(tmp_path_factory, data, full_precision)
     header, blocks = data
     expected = row_writer_csv(header, blocks, full_precision)
     path = tmp_path_factory.mktemp("writer") / "out.csv"
-    cli._write_csv(path, header, iter(blocks), full_precision)
+    cli._write_csv(cli._out_target(path), header, iter(blocks), full_precision)
     assert path.read_bytes() == expected.encode()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -983,6 +983,37 @@ def test_bad_input_exit_codes(tmp_path, capsys, monkeypatch, argv, lines, code):
     assert out == ""
     assert err.startswith("footrule: ") and err.count("\n") == 1, err
     assert not list(tmp_path.glob("c_*.csv"))
+
+
+@pytest.mark.parametrize("out", ["{dir}/no/s.csv", "{dir}"], ids=["missing-dir", "is-dir"])
+def test_stat_checks_out_before_reading(tmp_path, capsys, monkeypatch, out):
+    def no_read(*args):
+        raise AssertionError("read the input before rejecting --out")
+
+    monkeypatch.setattr(cli, "_read_paired_csv", no_read)
+    assert main(["stat", str(tmp_path / "data.csv"), "--out", out.format(dir=tmp_path)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err.startswith("footrule: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stat", "{csv}"],
+    ["exact", "5"],
+    ["simulate", "moments", "--reps", "2", "--n-list", "10"],
+    ["simulate", "kstest", "--reps", "2", "--n-list", "10"],
+], ids=["stat", "exact", "moments", "kstest"])
+def test_empty_out_exits_2(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("started the work before rejecting --out")
+
+    monkeypatch.setattr(simulate, "_draw_statistics", no_work)
+    monkeypatch.setattr(cli, "enumerate_null_distribution", no_work)
+    csv_path = tmp_path / "data.csv"
+    write_lines(csv_path, ["1.0,2.0", "2.0,3.0"])
+    assert main([a.format(csv=csv_path) for a in argv] + ["--out", ""]) == 2
+    assert capsys.readouterr() == ("", "footrule: --out is an empty path\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
 @pytest.mark.parametrize("argv", [

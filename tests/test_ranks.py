@@ -338,6 +338,16 @@ class TestEnumeration:
         with pytest.raises(ValueError, match=r"^sample size must be an integer, got 2.0$"):
             ExactNullDistribution(n=2.0, counts={0: 1, 2: 1})
 
+    # Each sums to 3! with mean D (3^2 - 1)/3, yet is no law of n = 3.
+    @pytest.mark.parametrize("counts, message", [
+        ({0: 2, 4: 4}, r"^counts must have exactly the even distances 0\.\.4$"),
+        ({0: 3, 2: -2, 4: 5}, r"^every count must be positive$"),
+        ({0: 1.0, 2: 2, 4: 3}, r"^count must be an integer, got 1\.0$"),
+    ], ids=["missing-distance", "negative-count", "float-count"])
+    def test_validation_rejects_counts_that_are_no_law(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            ExactNullDistribution(n=3, counts=counts)
+
     # At n = 19 and 20 the mean check's (n^2 - 1) * n! passes int64; from n = 21, n! does.
     @pytest.mark.parametrize("n", [19, 20, 30, 100])
     @pytest.mark.parametrize("to_numpy", [np.int64, np.int32])
