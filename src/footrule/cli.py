@@ -7,8 +7,8 @@ Commands:
 
 Exit codes: 0 success, 2 usage errors (including invalid study settings,
 settings too large for memory, an unreadable input CSV, an unwritable
---out and a failed write to stdout), 3 tied data (the continuity
-assumption is violated).
+--out and a failed write to stdout), 3 tied data (in `stat`, or a
+study's tie redraws run out). `main` alone maps exceptions to them.
 """
 
 from __future__ import annotations
@@ -46,12 +46,8 @@ METHOD_NORMAL = "Normal"
 METHOD_EXACT = "Exact"
 
 
-class CliError(Exception):
-    """Fatal CLI problem; carries the exit code."""
-
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A bad input, setting or output target, reported as one line; `main` exits 2."""
 
 
 def _float_format(full_precision: bool):
@@ -62,10 +58,9 @@ def _float_format(full_precision: bool):
 def _cells(column, fmt):
     """The CSV cells of one column.
 
-    A float64 array is formatted with `fmt` cell by cell, in one pass
-    (no table of distinct values: only ECDF columns repeat, and the sort
-    that found their repeats saved no time); any other column (ints,
-    exact counts, fixed labels, cells already formatted) with `str`.
+    A float64 array is formatted with `fmt` cell by cell, in one pass;
+    any other column (ints, exact counts, fixed labels, cells already
+    formatted) with `str`.
     """
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         return map(fmt, column.tolist())
@@ -81,25 +76,43 @@ def _block_text(block, fmt) -> str:
     return lines + "\n" if lines else ""
 
 
-def _to_stdout(emit) -> None:
-    """Run `emit(sys.stdout)` and flush; a failed write exits 2 with one line.
+def _write_to(stream, emit) -> None:
+    """Run `emit(stream)` and flush `stream`, re-raising a failed write's OSError.
 
-    After a failure fd 1 points at the null device, so the flush at
-    interpreter exit cannot fail again and print a second report.
+    After a failure the stream's file descriptor points at the null
+    device, so the flush at interpreter exit cannot fail again and print
+    a second report.
     """
     try:
-        emit(sys.stdout)
-        sys.stdout.flush()
-    except OSError as exc:
+        emit(stream)
+        stream.flush()
+    except OSError:
         try:
-            fd = sys.stdout.fileno()
+            fd = stream.fileno()
         except (AttributeError, ValueError):
             pass  # not a file: nothing is flushed at exit
         else:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)
+        raise
+
+
+def _to_stdout(emit) -> None:
+    """Run `emit(sys.stdout)` and flush; a failed write exits 2 with one line."""
+    try:
+        _write_to(sys.stdout, emit)
+    except OSError as exc:
         raise CliError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
+def _to_stderr(line: str) -> None:
+    """Write one line to stderr and flush; with fd 2 closed, or a failed write, it is lost."""
+    try:
+        if sys.stderr is not None:  # None when the interpreter started with fd 2 closed
+            _write_to(sys.stderr, lambda handle: handle.write(line + "\n"))
+    except OSError:
+        pass
 
 
 def _out_target(out: str | Path | None) -> tuple[Path, Path | None] | None:
@@ -364,19 +377,16 @@ def _read_paired_csv(path: str, has_header: bool) -> tuple[PairedSample, list[in
     return PairedSample(x, y), skipped
 
 
-def _tie_error(sample: PairedSample, skipped: list[int], exc: TiesError) -> CliError:
+def _tie_error(sample: PairedSample, skipped: list[int], exc: TiesError) -> TiesError:
     """The `stat` message for a tie, naming its margin and csv record numbers."""
     i, j = exc.positions
     # x's repeat is raised first, so a tie reported for y means x has no ties.
     label = "x" if sample.x[i] == sample.x[j] else "y"
-    return CliError(
-        f"tied {label} value {exc.value!r} in rows {_record_number(i, skipped)} "
-        f"and {_record_number(j, skipped)}; continuous data expected",
-        code=EXIT_TIES,
-    )
+    return TiesError(f"tied {label} value {exc.value!r} in rows {_record_number(i, skipped)} "
+                     f"and {_record_number(j, skipped)}; continuous data expected")
 
 
-def _cmd_stat(args: argparse.Namespace) -> int:
+def _cmd_stat(args: argparse.Namespace) -> None:
     target = _out_target(args.out)
     sample, skipped = _read_paired_csv(args.input, args.header)
     try:
@@ -406,19 +416,17 @@ def _cmd_stat(args: argparse.Namespace) -> int:
               f"z         {fmt(float(z))}\n"
               f"p-value   {fmt(float(p))} ({method})\n")
     _to_stdout(lambda handle: handle.write(report))
-    return EXIT_OK
 
 
-def _cmd_exact(args: argparse.Namespace) -> int:
+def _cmd_exact(args: argparse.Namespace) -> None:
     target = _out_target(args.out)
     dist = enumerate_null_distribution(args.n)
-    distances, counts = zip(*dist.sorted_items())
+    distances, counts = zip(*dist.counts.items())
     # Exact integer division: each probability is the correctly rounded float.
     total = dist.total
     block = (distances, counts, np.array([dist.phi(d) for d in distances]),
              np.array([count / total for count in counts]))
     _write_csv(target, ["d", "count", "phi", "probability"], [block], args.full_precision)
-    return EXIT_OK
 
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
@@ -434,25 +442,21 @@ def _study_settings(args: argparse.Namespace) -> dict:
                 replications=args.reps, threads=args.threads)
 
 
-def _cmd_simulate_moments(args: argparse.Namespace) -> int:
+def _cmd_simulate_moments(args: argparse.Namespace) -> None:
     target = _out_target(args.out)
     rows = []
     for entry in run_moment_study(**_study_settings(args)):
         s = entry.summary
         rows.append([entry.statistic.value, entry.n, s.em, s.ev, s.bias, s.rmse])
         if entry.redraws:
-            print(
-                f"note: {entry.redraws} tie redraws at n={entry.n} "
-                f"for {entry.statistic.value}",
-                file=sys.stderr,
-            )
+            _to_stderr(f"note: {entry.redraws} tie redraws at n={entry.n} "
+                       f"for {entry.statistic.value}")
     labels, sizes, *floats = zip(*rows)
     _write_csv(target, ["statistic", "n", "em", "ev", "bias", "rmse"],
                [(labels, sizes, *map(np.array, floats))], args.full_precision)
-    return EXIT_OK
 
 
-def _cmd_simulate_kstest(args: argparse.Namespace) -> int:
+def _cmd_simulate_kstest(args: argparse.Namespace) -> None:
     target = _out_target(args.out)
     rows = [
         [entry.n, entry.combination, entry.outcome.statistic, entry.outcome.p_value]
@@ -461,7 +465,6 @@ def _cmd_simulate_kstest(args: argparse.Namespace) -> int:
     sizes, combinations, *floats = zip(*rows)
     _write_csv(target, ["n", "combination", "ks_stat", "p_value"],
                [(sizes, combinations, *map(np.array, floats))], args.full_precision)
-    return EXIT_OK
 
 
 def _curve_paths(base: Path) -> tuple[Path, Path]:
@@ -476,7 +479,7 @@ def _curve_block(entry: CurveRow, grid: list[str], values: np.ndarray,
     return [entry.statistic.value] * size, [str(entry.n)] * size, grid, values, ref
 
 
-def _cmd_simulate_curves(args: argparse.Namespace) -> int:
+def _cmd_simulate_curves(args: argparse.Namespace) -> None:
     if not args.out:
         raise CliError("curves writes two files; --out is required")
     density, cdf = map(_out_target, _curve_paths(Path(args.out)))
@@ -497,7 +500,6 @@ def _cmd_simulate_curves(args: argparse.Namespace) -> int:
         if density_file:
             density_file.unlink(missing_ok=True)
         raise
-    return EXIT_OK
 
 
 def _add_simulate_common(parser: argparse.ArgumentParser, default_reps: int,
@@ -581,18 +583,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. Only here does an outcome become an exit status, picked by
+    the exception's type alone; it holds when stderr cannot be written."""
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
-    except CliError as exc:
-        error, code = exc, exc.code
+        args.func(args)
+        return EXIT_OK
     except TiesError as exc:
         error, code = exc, EXIT_TIES
     except (ValueError, MemoryError) as exc:
-        # Invalid study settings, other library input errors, and settings
-        # too large for memory.
         error, code = exc, EXIT_USAGE
-    print(f"footrule: {error}", file=sys.stderr)
+    _to_stderr(f"footrule: {error}")
     return code
 
 

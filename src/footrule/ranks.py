@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -165,8 +165,9 @@ class ExactNullDistribution:
     coefficient because ranking makes the statistic distribution-free.
 
     The law is immutable: `counts` is a read-only view of a copy of the
-    mapping passed in, so `enumerate_null_distribution` can hand one law
-    to every caller. Construction checks n, that the keys are exactly the
+    mapping passed in, iterating in ascending D whatever the order of
+    that mapping, so `enumerate_null_distribution` can hand one law to
+    every caller. Construction checks n, that the keys are exactly the
     attainable distances, the even integers 0..floor(n^2/2), and that
     every count is a positive integer; the running count sums must end at
     n!, and the mean D must be (n^2 - 1)/3. `two_sided_p` reads both
@@ -223,10 +224,6 @@ class ExactNullDistribution:
     def phi(self, distance: int) -> float:
         """The coefficient 1 - 3D/(n^2 - 1) at an attainable D."""
         return 1.0 - 3.0 * self._check_distance(distance) / (self.n * self.n - 1)
-
-    def sorted_items(self) -> Iterator[tuple[int, int]]:
-        """(distance, count) pairs in ascending distance order."""
-        return ((d, self.counts[d]) for d in range(0, max_distance(self.n) + 1, 2))
 
     def two_sided_p(self, distance: int) -> Fraction:
         """Exact P(|phi| >= |phi(distance)|) under the uniform null.

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from footrule import cli, ranks, simulate
 from footrule.cli import CliError, main
+from footrule.common import TiesError
 from footrule.ranks import EXACT_MAX_N
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -196,7 +197,8 @@ def decoded_lines(data):
 
 
 def reference_read(path, has_header):
-    """The row-wise `stat` reader the streaming one replaced: (xs, ys) or CliError.
+    """The row-wise `stat` reader the streaming one replaced: (xs, ys), or a
+    TiesError for tied data and a CliError for any other bad input.
 
     Kept as a test oracle, with four changes: tie messages number csv
     records, counting blank records, like every other message; the
@@ -234,11 +236,10 @@ def reference_read(path, has_header):
         seen: dict[float, int] = {}
         for i, value in enumerate(column):
             if value in seen:
-                raise CliError(
+                raise TiesError(
                     f"tied {label} value {value!r} in rows "
                     f"{numbers[seen[value]]} and {numbers[i]}; "
                     "continuous data expected",
-                    code=cli.EXIT_TIES,
                 )
             seen[value] = i
     return xs, ys
@@ -307,18 +308,19 @@ class TestStatReader:
     def check(path, header, block):
         try:
             expected = reference_read(path, header)
-        except CliError as exc:
+        except ValueError as exc:
             expected = exc
         old = cli._BLOCK_BYTES
         cli._BLOCK_BYTES = block
         try:
             outcome = run_main(["stat", str(path)] + ["--header"] * header)
-            read = None if isinstance(expected, CliError) else cli._read_paired_csv(
+            read = None if isinstance(expected, ValueError) else cli._read_paired_csv(
                 str(path), header)[0]
         finally:
             cli._BLOCK_BYTES = old
-        if isinstance(expected, CliError):
-            assert outcome == (expected.code, "", f"footrule: {expected}\n")
+        if isinstance(expected, ValueError):
+            code = 3 if isinstance(expected, TiesError) else 2
+            assert outcome == (code, "", f"footrule: {expected}\n")
         else:
             assert (outcome[0], outcome[2]) == (0, "")
             assert read.x.tobytes() == np.array(expected[0]).tobytes()
@@ -725,6 +727,25 @@ class TestStdoutWriteErrors:
         message = f"footrule: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
         assert proc.stderr.decode() == message
 
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+@pytest.mark.parametrize("argv, code", [
+    (["stat", "{dir}/tied.csv"], 3),
+    (["exact", "5", "--out", "{dir}/missing/x.csv"], 2),
+], ids=["ties", "missing-out-dir"])
+def test_exit_status_holds_when_stderr_cannot_be_written(tmp_path, stderr, argv, code):
+    # The error line is lost, on a full device or a closed fd 2, but not its status.
+    write_lines(tmp_path / "tied.csv", ["0.3,1.0", "0.3,2.0", "0.7,0.5"])
+    command = [sys.executable, "-m", "footrule.cli", *(a.format(dir=tmp_path) for a in argv)]
+    if stderr == "closed":
+        proc = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", *command],
+                              stdout=subprocess.PIPE, env=fresh_env(), timeout=120)
+    else:
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(command, stdout=subprocess.PIPE, stderr=full,
+                                  env=fresh_env(), timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, b"")
 
 def old_fmt(value, full_precision):
     """The per-cell rule of the row writer that the block writer replaced."""

@@ -25,6 +25,9 @@ RUNS = {
         ["curves_density.csv", "curves_cdf.csv"],
     ),
     "exact8": (["exact", "8"], ["exact8.csv"]),
+    # The --out report of stat on a seeded 30-row sample, with each p-value.
+    "stat30_normal": (["stat", str(GOLDEN / "stat30.csv")], ["stat30_normal.csv"]),
+    "stat30_exact": (["stat", str(GOLDEN / "stat30.csv"), "--exact"], ["stat30_exact.csv"]),
 }
 
 
@@ -39,7 +42,7 @@ def test_output_matches_golden(tmp_path, name):
 
 
 # Columns that hold integers or labels; every other column holds floats.
-EXACT_COLUMNS = {"statistic", "n", "combination", "d", "count"}
+EXACT_COLUMNS = {"statistic", "n", "combination", "d", "count", "distance", "method"}
 
 
 def five_places(golden: str) -> str:

@@ -415,9 +415,11 @@ class TestSharedLaw:
 
     def test_user_built_law_equals_shared_law(self):
         shared = enumerate_null_distribution(4)
-        built = ExactNullDistribution(n=4, counts=dict(shared.counts))
-        assert built == shared and built is not shared
-        assert list(built.sorted_items()) == list(shared.sorted_items())
+        for counts in (dict(shared.counts), dict(reversed(shared.counts.items()))):
+            built = ExactNullDistribution(n=4, counts=counts)
+            assert built == shared and built is not shared
+            assert list(built.counts.items()) == list(shared.counts.items())
+            assert list(built.counts) == list(range(0, max_distance(4) + 1, 2))
 
 
 distinct_reals = st.floats(allow_nan=False, allow_infinity=False)

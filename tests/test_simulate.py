@@ -1,6 +1,10 @@
+import errno
+import io
 import itertools
 import math
+import os
 import statistics
+import sys
 
 import mpmath
 import numpy as np
@@ -472,6 +476,24 @@ class TestBatchedEngine:
                      "--reps", "8", "--out", str(out)]) == 0
         assert capsys.readouterr() == ("", "note: 1 tie redraws at n=9 for phi\n")
 
+    @pytest.mark.parametrize("max_redraws, code", [(1, 0), (0, 3)])
+    def test_cli_status_holds_when_stderr_fails(self, monkeypatch, tmp_path, max_redraws,
+                                                code):
+        # A note or error that cannot be written to stderr changes neither the
+        # exit status nor the CSV.
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        head = self._head(5, 5, _block(Statistic.FOOTRULE, 9))
+        self._force(monkeypatch, 5, _block(Statistic.FOOTRULE, 9), {1: head[0]})
+        monkeypatch.setattr(simulate, "_MAX_REDRAWS", max_redraws)
+        monkeypatch.setattr(sys, "stderr", Unwritable())
+        out = tmp_path / "moments.csv"
+        assert main(["simulate", "moments", "--seed", "5", "--n-list", "9",
+                     "--reps", "8", "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+
     def test_cli_exits_3_when_redraws_run_out(self, monkeypatch, capsys):
         # with no redraws left, the tied replication 5 raises TiesError
         head = self._head(5, 5, _block(Statistic.FOOTRULE, 9))
@@ -650,7 +672,7 @@ class TestExactLawOracle:
         # bin expects at least 5 draws; a short last bin joins the one before
         bins = []
         observed = expected = 0.0
-        for distance, count in law.sorted_items():
+        for distance, count in law.counts.items():
             observed += drawn[distance]
             expected += self.REPS * count / law.total
             if expected >= 5.0:
