@@ -437,9 +437,14 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 
 
 def _study_settings(args: argparse.Namespace) -> dict:
-    """The study arguments that `--seed`, `--reps`, `--n-list` and `--threads` set."""
-    return dict(seed=args.seed, sample_sizes=_parse_n_list(args.n_list),
-                replications=args.reps, threads=args.threads)
+    """The study arguments that `--seed`, `--reps` and `--n-list` set.
+
+    `--threads` sets none: it is checked and otherwise ignored.
+    """
+    sample_sizes = _parse_n_list(args.n_list)
+    if args.threads < 1:
+        raise CliError(f"threads must be >= 1, got {args.threads}")
+    return dict(seed=args.seed, sample_sizes=sample_sizes, replications=args.reps)
 
 
 def _cmd_simulate_moments(args: argparse.Namespace) -> None:
@@ -511,8 +516,8 @@ def _add_simulate_common(parser: argparse.ArgumentParser, default_reps: int,
                         help="comma-separated sample sizes")
     parser.add_argument("--out", help=out_help)
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads across the batches of one n, capped "
-                             "at the CPU count; never changes output bytes (default 1)")
+                        help="accepted for compatibility and ignored: draws run "
+                             "on the calling thread (must be >= 1)")
     parser.add_argument("--full-precision", action="store_true",
                         help="emit shortest round-trip decimals instead of 5 places")
 

@@ -4,7 +4,7 @@ Streams are counter-based: each replication owns a Philox stream keyed by
 (seed, replication index), and each (statistic, sample size) combination
 draws from a disjoint block of that stream's counter space. Values
 therefore depend only on (seed, replication, statistic, n), never on
-execution order or worker count.
+how the replications are split into batches.
 
 The engine computes those streams itself: Philox4x64-10 (Salmon et al.,
 SC'11) over uint64 arrays of replications, then the 64-bit multiply step
@@ -20,9 +20,11 @@ rejected words are skipped and a tie moves on to the next 2n uniforms.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
+# ThreadPoolExecutor is unused here but stays bound: bench/tracing.py's
+# Tracer.install swaps it through vars(simulate)["ThreadPoolExecutor"],
+# which raises KeyError without it.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -202,8 +204,8 @@ def _philox_words(seed: int, reps: np.ndarray, blocks: tuple[int, ...],
         odd[0] ^= np.uint64((seed + r * _PHILOX_W[0]) & _WORD)
         odd[1] ^= rep_key
         even, odd = odd, even[::-1]
-    # Freed before the output exists: a worker thread's peak stays resident
-    # in its allocator arena.
+    # The batch's scratch arrays are freed before its words are stacked, so
+    # they and the stacked copy are never live together.
     del scratch, hi, hi1, rep_key
     words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
     return words.reshape(rows, len(blocks), 4 * groups)[..., :count]
@@ -297,7 +299,6 @@ def _draw_statistics(
     seed: int,
     n: int,
     replications: int,
-    threads: int,
 ) -> dict[Statistic, tuple[np.ndarray, int]]:
     """Each statistic's replication values at n, and its tie redraws.
 
@@ -307,29 +308,14 @@ def _draw_statistics(
     The batch count is max(1, round(replications * 6n / _CHUNK_WORDS)),
     at most one per replication, and the replications split evenly:
     batch sizes differ by at most one row, so no short tail batch pays
-    a pass's fixed cost for a few rows. With several batches and
-    threads, batches run on one pool of at most os.cpu_count() threads
-    (numpy releases the GIL on large arrays; more threads only add
-    start-up cost); each value is written to its own slot, so output is
-    identical for any thread count.
+    a pass's fixed cost for a few rows. Batches run in order on the
+    calling thread, and each writes its own slots of the output.
     """
     values = np.empty((len(Statistic), replications), dtype=float)
     row_words = 2 * n * len(Statistic)
     batches = min(replications, max(1, round(replications * row_words / _CHUNK_WORDS)))
     bounds = [i * replications // batches for i in range(batches + 1)]
-
-    def fill(i: int) -> list[int]:
-        return _draw_chunk(seed, n, bounds[i], bounds[i + 1], values)
-
-    # The CPU count is read only where a pool could start.
-    workers = 1
-    if threads > 1 and batches > 1:
-        workers = min(threads, batches, os.cpu_count() or 1)
-    if workers == 1:
-        totals = list(map(fill, range(batches)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = list(pool.map(fill, range(batches)))
+    totals = [_draw_chunk(seed, n, lo, hi, values) for lo, hi in zip(bounds, bounds[1:])]
     redraws = [sum(counts) for counts in zip(*totals)]
     return {stat: (values[i], redraws[i]) for i, stat in enumerate(Statistic)}
 
@@ -372,39 +358,34 @@ class CurveRow:
                    for f in fields(self))
 
 
-def _check_study(seed: int, sample_sizes: Iterable[int], replications: int,
-                 threads: int) -> tuple[int, tuple[int, ...], int, int]:
+def _check_study(seed: int, sample_sizes: Iterable[int],
+                 replications: int) -> tuple[int, tuple[int, ...], int]:
     """The study settings as Python ints, checked before anything is drawn."""
     seed = _check_word("seed", seed)
     replications = _check_integer("replications", replications)
-    threads = _check_integer("threads", threads)
     sample_sizes = tuple(_check_integer("sample size", n) for n in sample_sizes)
     if replications < 2:
         raise ValueError(f"replications must be >= 2, got {replications}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     # n is the low word of a counter block, so n >= 2^32 would share a block.
     if not sample_sizes or not 2 <= min(sample_sizes) <= max(sample_sizes) < 1 << 32:
         raise ValueError(f"sample sizes must all be in [2, 2^32), got {list(sample_sizes)}")
-    return seed, sample_sizes, replications, threads
+    return seed, sample_sizes, replications
 
 
 def run_moment_study(
     seed: int,
     sample_sizes: Iterable[int],
     replications: int = 10_000,
-    threads: int = 1,
 ) -> list[MomentRow]:
     """Summaries of each statistic against the true null value 0.
 
     Draws run n by n, all three statistics at once; rows run statistic by
     statistic, and by n within a statistic.
     """
-    seed, sample_sizes, replications, threads = _check_study(
-        seed, sample_sizes, replications, threads)
+    seed, sample_sizes, replications = _check_study(seed, sample_sizes, replications)
     rows = {}
     for n in sample_sizes:
-        for stat, (values, redraws) in _draw_statistics(seed, n, replications, threads).items():
+        for stat, (values, redraws) in _draw_statistics(seed, n, replications).items():
             rows[stat, n] = MomentRow(stat, n, summarize(values, 0.0), redraws)
     return [rows[stat, n] for stat in Statistic for n in sample_sizes]
 
@@ -413,7 +394,6 @@ def run_ks_study(
     seed: int,
     sample_sizes: Iterable[int],
     replications: int = 1000,
-    threads: int = 1,
 ) -> list[KsRow]:
     """KS outcomes for the six distribution comparisons at each n.
 
@@ -422,13 +402,12 @@ def run_ks_study(
     Pairs against "normal" are one-sample tests against the limiting
     Normal(0, 2/5) CDF; statistic pairs are two-sample tests.
     """
-    seed, sample_sizes, replications, threads = _check_study(
-        seed, sample_sizes, replications, threads)
+    seed, sample_sizes, replications = _check_study(seed, sample_sizes, replications)
     var = limiting_variance()
     rows = []
     for n in sample_sizes:
         pools = {stat.value: values * math.sqrt(n) for stat, (values, _)
-                 in _draw_statistics(seed, n, replications, threads).items()}
+                 in _draw_statistics(seed, n, replications).items()}
         for left, right in KS_COMBINATIONS:
             if right == "normal":
                 outcome = ks_one_sample(pools[left], lambda xs: normal_cdf(xs, 0.0, var))
@@ -443,22 +422,20 @@ def run_curve_study(
     sample_sizes: Iterable[int],
     replications: int = 100_000,
     grid_size: int = 512,
-    threads: int = 1,
 ) -> list[CurveRow]:
     """Density and CDF curves of the sqrt(n)-scaled statistics, per n.
 
     The ECDF and the reference Normal(0, 2/5) curves are evaluated on
     the KDE's grid so each (statistic, n) shares a single axis.
     """
-    seed, sample_sizes, replications, threads = _check_study(
-        seed, sample_sizes, replications, threads)
+    seed, sample_sizes, replications = _check_study(seed, sample_sizes, replications)
     grid_size = _check_integer("grid size", grid_size)
     if grid_size < 2:
         raise ValueError(f"grid size must be >= 2, got {grid_size}")
     var = limiting_variance()
     rows = []
     for n in sample_sizes:
-        for stat, (values, _) in _draw_statistics(seed, n, replications, threads).items():
+        for stat, (values, _) in _draw_statistics(seed, n, replications).items():
             values *= math.sqrt(n)
             grid, density = gaussian_kde(values, grid_size=grid_size)
             rows.append(CurveRow(stat, n, grid, density, ecdf_curve(values, grid),

@@ -49,7 +49,7 @@ def report(criterion, passed, detail):
 
 
 def draw_block(seed, n, statistic, replications, scaled=False):
-    values, _ = _draw_statistics(seed, n, replications, 1)[statistic]
+    values, _ = _draw_statistics(seed, n, replications)[statistic]
     return values * math.sqrt(n) if scaled else values
 
 

@@ -538,34 +538,6 @@ def test_stat_reads_a_pipe(tmp_path):
     assert bad.stderr == b"footrule: row 3: cannot parse '0.7,x'\n"
 
 
-def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch):
-    workers = []
-
-    class Pool(simulate.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", Pool)
-    # n = 100 at 1400 reps is several batches, so one pool runs for the n.
-    assert round(1400 * 6 * 100 / simulate._CHUNK_WORDS) > 1
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-    simulate.run_moment_study(8, (100,), 1400, threads=64)
-    assert workers == [2]
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
-    simulate.run_moment_study(8, (100,), 1400, threads=64)
-    assert workers == [2]  # no CPU count: one worker, inline
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-    base = ["simulate", "moments", "--n-list", "100", "--reps", "1400", "--seed", "8"]
-    outputs = []
-    for threads in ("1", "64"):
-        out = tmp_path / f"m{threads}.csv"
-        assert main(base + ["--threads", threads, "--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[1] == outputs[0]
-    assert max(workers) == 2 and len(workers) == 2
-
-
 class TestExactCommand:
     def test_n3_rows(self, tmp_path):
         out = tmp_path / "null3.csv"

@@ -5,6 +5,7 @@ import math
 import os
 import statistics
 import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -104,12 +105,12 @@ class TestUniformOpen:
 
 class TestDrawStatistic:
     def test_reproducible(self):
-        first, _ = _draw_statistics(42, 20, 13, 1)[Statistic.FOOTRULE]
-        again, _ = _draw_statistics(42, 20, 13, 1)[Statistic.FOOTRULE]
+        first, _ = _draw_statistics(42, 20, 13)[Statistic.FOOTRULE]
+        again, _ = _draw_statistics(42, 20, 13)[Statistic.FOOTRULE]
         assert first[12] == again[12]
 
     def test_rank_draw_lives_on_the_lattice(self):
-        values, _ = _draw_statistics(7, 10, 50, 1)[Statistic.FOOTRULE]
+        values, _ = _draw_statistics(7, 10, 50)[Statistic.FOOTRULE]
         for phi in values.tolist():
             assert 1 - 3 * 50 / 99 <= phi <= 1.0
             d = (1.0 - phi) * 99 / 3
@@ -121,7 +122,7 @@ class TestDrawStatistic:
         # transform, so the paper's normal-x, uniform-y data give the
         # uniform draw's value exactly
         inverse_normal = statistics.NormalDist().inv_cdf
-        drawn, _ = _draw_statistics(3, 50, 20, 1)[Statistic.FOOTRULE]
+        drawn, _ = _draw_statistics(3, 50, 20)[Statistic.FOOTRULE]
         for rep in range(20):
             vec = _stream_uniforms(3, rep, _block(Statistic.FOOTRULE, 50), 100)
             u, v = vec[:50], vec[50:]
@@ -131,15 +132,15 @@ class TestDrawStatistic:
             assert phi == drawn[rep]
 
     def test_statistics_use_distinct_streams(self):
-        drawn = _draw_statistics(21, 25, 1, 1)
+        drawn = _draw_statistics(21, 25, 1)
         assert len({values[0] for values, _ in drawn.values()}) == 3
 
     def test_null_mean_footrule_n10(self):
-        values, _ = _draw_statistics(42, 10, 10_000, 1)[Statistic.FOOTRULE]
+        values, _ = _draw_statistics(42, 10, 10_000)[Statistic.FOOTRULE]
         assert abs(np.mean(values)) < 0.0065  # 3 sigma at Var = 0.04646
 
     def test_null_variance_double_sum_n10(self):
-        values, _ = _draw_statistics(42, 10, 10_000, 1)[Statistic.DOUBLE_SUM]
+        values, _ = _draw_statistics(42, 10, 10_000)[Statistic.DOUBLE_SUM]
         assert np.var(values, ddof=1) == pytest.approx(0.0367, abs=0.0016)
 
 
@@ -150,7 +151,7 @@ class TestMomentStudy:
             (stat, n) for stat in Statistic for n in (5, 9)
         ]
         for row in rows:
-            values, _ = _draw_statistics(1, row.n, 3, 1)[row.statistic]
+            values, _ = _draw_statistics(1, row.n, 3)[row.statistic]
             assert row.summary == summarize(values, 0.0)
         assert all(row.redraws == 0 for row in rows)
 
@@ -162,12 +163,6 @@ class TestMomentStudy:
         values = [draw_value(StreamKey(11, rep), 12, stat)[0] for rep in range(100)]
         expected = summarize(values, 0.0)
         assert row.summary == expected
-
-    def test_thread_count_never_changes_results(self):
-        base = dict(seed=2, replications=500, sample_sizes=(10, 20))
-        one = run_moment_study(threads=1, **base)
-        four = run_moment_study(threads=4, **base)
-        assert one == four
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -196,7 +191,7 @@ class TestKsStudy:
         assert labels == [f"{a}-vs-{b}" for a, b in KS_COMBINATIONS]
         pools = {
             (stat.value, n): values * math.sqrt(n)
-            for n in (10, 20) for stat, (values, _) in _draw_statistics(3, n, 80, 1).items()
+            for n in (10, 20) for stat, (values, _) in _draw_statistics(3, n, 80).items()
         }
         for row in rows:
             assert 0.0 <= row.outcome.statistic <= 1.0
@@ -218,7 +213,7 @@ class TestKsStudy:
         assert first == second
 
     def test_footrule_repetition_at_n10(self):
-        values, _ = _draw_statistics(4, 10, 1000, 1)[Statistic.FOOTRULE]
+        values, _ = _draw_statistics(4, 10, 1000)[Statistic.FOOTRULE]
         values *= math.sqrt(10)
         assert len(set(values.tolist())) < 60  # the scaled statistic has few atoms
 
@@ -246,7 +241,7 @@ class TestKsStudy:
         for n in range(20, 101, 10):
             hits = 0
             for i in range(10):
-                values, _ = _draw_statistics(500 + i, n, 1000, 1)[Statistic.HAJEK]
+                values, _ = _draw_statistics(500 + i, n, 1000)[Statistic.HAJEK]
                 values *= math.sqrt(n)
                 outcome = ks_one_sample(values, lambda t: normal_cdf(t, 0.0, 0.4))
                 hits += outcome.p_value > 0.01
@@ -259,13 +254,10 @@ _BAD_SETTINGS = {
     "reps-below-2": dict(replications=1),
     "seed-negative": dict(seed=-1),
     "seed-too-large": dict(seed=2**64),
-    "threads-zero": dict(threads=0),
-    "threads-negative": dict(threads=-5),
     # A float would be truncated into the key or fail only after drawing.
     "seed-fractional": dict(seed=1.5),
     "reps-fractional": dict(replications=2.5),
     "n-fractional": dict(sample_sizes=(10.0,)),
-    "threads-fractional": dict(threads=1.5),
 }
 
 
@@ -286,8 +278,8 @@ def test_invalid_study_settings_rejected_before_drawing(monkeypatch, study, bad)
 
 
 def test_numpy_integer_settings_draw_as_python_ints():
-    as_numpy = run_moment_study(np.uint64(1), (np.int64(10),), np.int32(50), np.int8(1))
-    assert as_numpy == run_moment_study(1, (10,), 50, 1)
+    as_numpy = run_moment_study(np.uint64(1), (np.int64(10),), np.int32(50))
+    assert as_numpy == run_moment_study(1, (10,), 50)
 
 
 def test_sample_sizes_may_be_a_numpy_array():
@@ -325,9 +317,9 @@ class TestCurveStudy:
 def test_one_draw_per_sample_size(monkeypatch, study):
     calls = []
 
-    def spy(seed, n, replications, threads):
+    def spy(seed, n, replications):
         calls.append(n)
-        return _draw_statistics(seed, n, replications, threads)
+        return _draw_statistics(seed, n, replications)
 
     monkeypatch.setattr(simulate, "_draw_statistics", spy)
     study(seed=1, sample_sizes=(10, 30), replications=50)
@@ -437,7 +429,7 @@ class TestBatchedEngine:
         expected = [draw_value(StreamKey(5, rep), 9, stat, head if rep == 3 else None)[0]
                     for rep in range(8)]
         redrawn = self._force(monkeypatch, 3, _block(stat, 9), {0: 0})
-        values, redraws = _draw_statistics(5, 9, 8, 1)[stat]
+        values, redraws = _draw_statistics(5, 9, 8)[stat]
         assert redrawn == [3]
         assert redraws == 0
         assert values.tolist() == expected
@@ -450,7 +442,7 @@ class TestBatchedEngine:
                                head if rep == 5 else None) for rep in range(8)]
         assert [redraws for _, redraws in expected] == [0] * 5 + [1] + [0] * 2
         redrawn = self._force(monkeypatch, 5, _block(Statistic.FOOTRULE, 9), {1: head[0]})
-        values, redraws = _draw_statistics(5, 9, 8, 1)[Statistic.FOOTRULE]
+        values, redraws = _draw_statistics(5, 9, 8)[Statistic.FOOTRULE]
         assert redrawn == [5]
         assert redraws == 1
         assert values.tolist() == [value for value, _ in expected]
@@ -463,7 +455,7 @@ class TestBatchedEngine:
                                head if rep == 5 else None) for rep in range(8)]
         assert [redraws for _, redraws in expected] == [0] * 5 + [1] + [0] * 2
         redrawn = self._force(monkeypatch, 5, _block(Statistic.FOOTRULE, 2), {3: head[2]})
-        values, redraws = _draw_statistics(5, 2, 8, 1)[Statistic.FOOTRULE]
+        values, redraws = _draw_statistics(5, 2, 8)[Statistic.FOOTRULE]
         assert redrawn == [5]
         assert redraws == 1
         assert values.tolist() == [value for value, _ in expected]
@@ -535,10 +527,10 @@ class TestBatchedEngine:
         uniforms = lemire_uniforms(words)
         expected, expected_redraws = redraw_loop(
             lambda size: np.array(list(itertools.islice(uniforms, size))), n, stat)
-        clean, _ = _draw_statistics(seed, n, 4, 1)[stat]
+        clean, _ = _draw_statistics(seed, n, 4)[stat]
         with pytest.MonkeyPatch.context() as monkeypatch:
             redrawn = self._force(monkeypatch, rep, block, edits)
-            values, redraws = _draw_statistics(seed, n, 4, 1)[stat]
+            values, redraws = _draw_statistics(seed, n, 4)[stat]
         assert redrawn == [rep]
         assert values[rep] == expected
         assert redraws == expected_redraws
@@ -584,6 +576,26 @@ class TestBatchedEngine:
         assert main(base + ["--threads", "2", "--out", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
 
+    @pytest.mark.parametrize("study", [["moments"], ["kstest"], ["curves", "--grid-size", "64"]],
+                             ids=["moments", "kstest", "curves"])
+    def test_no_study_starts_a_thread(self, tmp_path, monkeypatch, study):
+        n, reps = 100, 1400
+        assert round(reps * 6 * n / simulate._CHUNK_WORDS) == 26  # batches
+        base = ["simulate", *study, "--n-list", str(n), "--reps", str(reps), "--seed", "8",
+                "--full-precision"]
+
+        def outputs(label, threads):
+            assert main(base + ["--threads", threads, "--out", str(tmp_path / label)]) == 0
+            return {p.name.removeprefix(label): p.read_bytes() for p in tmp_path.glob(f"{label}*")}
+
+        def start(thread):
+            raise AssertionError(f"a study started thread {thread.name}")
+
+        single = outputs("one", "1")
+        assert len(single) == (2 if study[0] == "curves" else 1)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert outputs("two", "2") == single
+
     def test_small_chunks_keep_every_byte(self, tmp_path, monkeypatch):
         # at 600 words 37 replications split into round(3.7) = 4 batches of
         # 9-10 at n = 10 and round(9.25) = 9 batches of 4-5 at n = 25
@@ -616,7 +628,7 @@ class TestBatchedEngine:
         n, reps = 10, 37
         head = self._head(5, 5, _block(Statistic.FOOTRULE, n))
         self._force(monkeypatch, 5, _block(Statistic.FOOTRULE, n), {1: head[0]})
-        expected = _draw_statistics(5, n, reps, 1)
+        expected = _draw_statistics(5, n, reps)
         assert expected[Statistic.FOOTRULE][1] == 1  # the forced tie
         real_chunk, batches = simulate._draw_chunk, []
 
@@ -626,31 +638,17 @@ class TestBatchedEngine:
 
         monkeypatch.setattr(simulate, "_draw_chunk", chunk)
         monkeypatch.setattr(simulate, "_CHUNK_WORDS", chunk_words)
-        for threads in (1, 2):
-            batches.clear()
-            drawn = _draw_statistics(5, n, reps, threads)
-            for stat in Statistic:
-                assert drawn[stat][0].tobytes() == expected[stat][0].tobytes()
-                assert drawn[stat][1] == expected[stat][1]
-            bounds = sorted(batches)
-            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
-            assert bounds[-1][1] == reps
-            sizes = [hi - lo for lo, hi in bounds]
-            assert max(sizes) - min(sizes) <= 1
-            assert max(sizes) * 6 * n <= 1.5 * chunk_words + 6 * n
-            assert len(bounds) == {30: 37, 60: 37, 100: 22, 600: 4}.get(chunk_words, 1)
-
-    def test_cpu_count_read_only_for_a_pool(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: calls.append(1) or 2)
-        n, reps = 100, 1400
-        assert round(reps * 6 * n / simulate._CHUNK_WORDS) > 1  # more than one batch
-        run_moment_study(8, (n,), reps, threads=1)
-        assert calls == []
-        run_moment_study(8, (n,), 2, threads=2)  # one batch
-        assert calls == []
-        run_moment_study(8, (n, n), reps, threads=2)
-        assert len(calls) == 2
+        drawn = _draw_statistics(5, n, reps)
+        for stat in Statistic:
+            assert drawn[stat][0].tobytes() == expected[stat][0].tobytes()
+            assert drawn[stat][1] == expected[stat][1]
+        bounds = sorted(batches)
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == reps
+        sizes = [hi - lo for lo, hi in bounds]
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) * 6 * n <= 1.5 * chunk_words + 6 * n
+        assert len(bounds) == {30: 37, 60: 37, 100: 22, 600: 4}.get(chunk_words, 1)
 
 
 class TestExactLawOracle:
@@ -660,7 +658,7 @@ class TestExactLawOracle:
 
     @pytest.mark.parametrize("n", [5, 10, 30])
     def test_displacement_matches_exact_law(self, n):
-        phi, _ = _draw_statistics(42, n, self.REPS, 1)[Statistic.FOOTRULE]
+        phi, _ = _draw_statistics(42, n, self.REPS)[Statistic.FOOTRULE]
         d = (1.0 - phi) * (n * n - 1) / 3.0
         assert np.abs(d - np.rint(d)).max() < 1e-6
         d = np.rint(d).astype(int)
