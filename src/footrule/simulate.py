@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .common import Statistic, TiesError, _check_integer
+from .common import DegenerateSampleError, NonFiniteError, Statistic, TiesError, _check_integer
 from .moments import limiting_variance
 # footrule_coefficient is unused here but stays bound: bench/test_bench.py
 # checks on this name that its tracer rebinds functions imported by name.
@@ -426,7 +426,10 @@ def run_curve_study(
     """Density and CDF curves of the sqrt(n)-scaled statistics, per n.
 
     The ECDF and the reference Normal(0, 2/5) curves are evaluated on
-    the KDE's grid so each (statistic, n) shares a single axis.
+    the KDE's grid so each (statistic, n) shares a single axis. A pool
+    the KDE refuses raises the KDE's error type, with the statistic and
+    n in front of its message, such as "phi at n=5: sample has zero
+    spread".
     """
     seed, sample_sizes, replications = _check_study(seed, sample_sizes, replications)
     grid_size = _check_integer("grid size", grid_size)
@@ -437,7 +440,10 @@ def run_curve_study(
     for n in sample_sizes:
         for stat, (values, _) in _draw_statistics(seed, n, replications).items():
             values *= math.sqrt(n)
-            grid, density = gaussian_kde(values, grid_size=grid_size)
+            try:
+                grid, density = gaussian_kde(values, grid_size=grid_size)
+            except (DegenerateSampleError, NonFiniteError) as exc:
+                raise type(exc)(f"{stat.value} at n={n}: {exc}") from exc
             rows.append(CurveRow(stat, n, grid, density, ecdf_curve(values, grid),
                                  normal_pdf(grid, 0.0, var), normal_cdf(grid, 0.0, var)))
     return rows

@@ -14,11 +14,16 @@ _spec.loader.exec_module(bench_ab)
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 RSS = next(m for m in END_TO_END if m["name"] == "peak_rss_mb")           # lower is better
 DRAWS = next(m for m in END_TO_END if m["name"] == "draws_per_s")         # higher is better
+WALL = next(m for m in END_TO_END if m["name"] == "wall_s")               # lower is better
 
 
-def canned(metrics: dict[str, float], failed: int = 0) -> str:
+def canned(metrics: dict[str, float], failed: int = 0,
+           unscaled: dict[str, float] | None = None) -> str:
     """stdout of one bench/run.py --trace 0 run, as it prints it."""
-    lines = [f"curves     {name:<36} {value:>14.6g} u      n=5" for name, value in metrics.items()]
+    unscaled = unscaled or {}
+    lines = [f"curves     {name:<36} {value:>14.6g} u      n=5"
+             + (f" unscaled={unscaled[name]:.6g}" if name in unscaled else "")
+             for name, value in metrics.items()]
     lines.append(json.dumps({"correct": failed == 0, "attempted": 5, "failed": failed,
                              "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}))
     return "\n".join(lines) + "\n"
@@ -30,7 +35,9 @@ def rss_pairs(parent, change):
 
 def test_parse_run_reads_the_last_json_line():
     metrics = {m["name"]: float(i) for i, m in enumerate(END_TO_END)}
-    assert bench_ab.parse_run(0, canned(metrics)) == metrics
+    assert bench_ab.parse_run(0, canned(metrics)) == {**metrics, "unscaled": {}}
+    raw = {name: value / 2 for name, value in metrics.items()}
+    assert bench_ab.parse_run(0, canned(metrics, unscaled=raw)) == {**metrics, "unscaled": raw}
     assert bench_ab.parse_run(1, canned(metrics)) is None
     assert bench_ab.parse_run(0, canned(metrics, failed=1)) is None
     assert bench_ab.parse_run(0, canned(metrics) + "Traceback (most recent call last):\n") is None
@@ -108,3 +115,19 @@ def test_no_clean_run_on_a_side_gives_no_statistic():
     [row] = bench_ab.compare([({"peak_rss_mb": 49.0}, None)], [RSS])
     assert row["verdict"] == "no clean runs" and "ratio" not in row
     assert "no clean runs" in bench_ab.format_table([row])
+
+
+def test_unscaled_ratio_is_shown_but_never_judged():
+    # Scaled wall_s reads 3% worse while the raw time reads 5% better: the change
+    # sped up the reference kernel as well. The verdict reads the scaled values.
+    parent = canned({"wall_s": 0.0534, "peak_rss_mb": 43.67}, unscaled={"wall_s": 0.0480})
+    change = canned({"wall_s": 0.0550, "peak_rss_mb": 46.46}, unscaled={"wall_s": 0.0456})
+    pairs = [(bench_ab.parse_run(0, parent), bench_ab.parse_run(0, change))] * 6
+    wall, rss = bench_ab.compare(pairs, [WALL, RSS])
+    assert wall["ratio"] == pytest.approx(0.0550 / 0.0534)
+    assert wall["unscaled_ratio"] == pytest.approx(0.0456 / 0.0480)
+    assert (wall["won"], wall["verdict"]) == (0, "within bound")
+    assert "unscaled_ratio" not in rss
+    table = bench_ab.format_table([wall, rss]).splitlines()
+    assert " 1.0300   0.9500   0/6 " in table[1]
+    assert " 1.0639        -   0/6 " in table[2]

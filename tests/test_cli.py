@@ -910,6 +910,14 @@ class TestSimulateCommands:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "results", "results_cdf.csv", "results_density.csv"]
 
+    def test_curves_names_the_pool_with_zero_spread(self, tmp_path, capsys):
+        # At seed 42 both n = 5 draws of phi are 0 (D = 8): a pool with no spread.
+        assert main([
+            "simulate", "curves", "--reps", "2", "--n-list", "5", "--out", str(tmp_path / "c"),
+        ]) == 2
+        assert capsys.readouterr() == ("", "footrule: phi at n=5: sample has zero spread\n")
+        assert not list(tmp_path.iterdir())
+
     def test_curves_requires_out(self, capsys):
         assert main(["simulate", "curves", "--n-list", "10", "--reps", "50"]) == 2
 

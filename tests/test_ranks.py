@@ -3,7 +3,6 @@ import math
 import pickle
 import re
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from footrule.common import NonFiniteError, SampleSizeError, TiesError
 from footrule.ranks import (
     EXACT_MAX_N,
-    ExactNullDistribution,
     PairedSample,
     _rank_rows,
     enumerate_null_distribution,
@@ -304,19 +302,26 @@ class TestEnumeration:
             enumerate_null_distribution(1)
         with pytest.raises(SampleSizeError, match=r"needs 2 <= n <= 100, got 101$"):
             enumerate_null_distribution(EXACT_MAX_N + 1)
+        with pytest.raises(ValueError, match=r"^sample size must be an integer, got 2.0$"):
+            enumerate_null_distribution(2.0)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_matches_brute_force(self, n):
         assert enumerate_null_distribution(n).counts == brute_force_counts(n)
 
-    # The support rule the DP and `_check_distance` rest on: every even D in
-    # [0, floor(n^2/2)] is attained, and no other.
-    @pytest.mark.parametrize("n", [*range(2, 61), 100])
+    # What makes the DP's output a law, at every n it serves (laws are built
+    # nowhere else, and the constructor checks nothing): the support rule
+    # `_check_distance` rests on, every even D in [0, floor(n^2/2)] attained
+    # and no other, in ascending D; positive Python-int counts; the n! total;
+    # and the mean D, (n^2 - 1)/3.
+    @pytest.mark.parametrize("n", range(2, EXACT_MAX_N + 1))
     def test_counts_structure(self, n):
-        dist = enumerate_null_distribution(n)
-        assert sum(dist.counts.values()) == math.factorial(n)
-        assert sorted(dist.counts) == list(range(0, max_distance(n) + 1, 2))
-        assert all(count > 0 for count in dist.counts.values())
+        counts = enumerate_null_distribution(n).counts
+        total = math.factorial(n)
+        assert list(counts) == list(range(0, max_distance(n) + 1, 2))
+        assert all(type(count) is int and count > 0 for count in counts.values())
+        assert sum(counts.values()) == total
+        assert 3 * sum(d * count for d, count in counts.items()) == (n * n - 1) * total
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_phi_range(self, n):
@@ -325,30 +330,8 @@ class TestEnumeration:
         assert max(phis) == 1.0
         assert min(phis) == 1.0 - 3.0 * max_distance(n) / (n * n - 1)
 
-    def test_validation_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            ExactNullDistribution(n=3, counts={0: 1, 2: 2, 4: 2})
-        with pytest.raises(ValueError):
-            ExactNullDistribution(n=3, counts={0: 1, 3: 2, 4: 3})
-        with pytest.raises(ValueError):
-            ExactNullDistribution(n=3, counts={0: 3, 2: 2, 4: 1})
-        # At n = 1, phi would divide by n^2 - 1 = 0.
-        with pytest.raises(SampleSizeError, match=r"needs n >= 2, got 1$"):
-            ExactNullDistribution(n=1, counts={0: 1})
-        with pytest.raises(ValueError, match=r"^sample size must be an integer, got 2.0$"):
-            ExactNullDistribution(n=2.0, counts={0: 1, 2: 1})
-
-    # Each sums to 3! with mean D (3^2 - 1)/3, yet is no law of n = 3.
-    @pytest.mark.parametrize("counts, message", [
-        ({0: 2, 4: 4}, r"^counts must have exactly the even distances 0\.\.4$"),
-        ({0: 3, 2: -2, 4: 5}, r"^every count must be positive$"),
-        ({0: 1.0, 2: 2, 4: 3}, r"^count must be an integer, got 1\.0$"),
-    ], ids=["missing-distance", "negative-count", "float-count"])
-    def test_validation_rejects_counts_that_are_no_law(self, counts, message):
-        with pytest.raises(ValueError, match=message):
-            ExactNullDistribution(n=3, counts=counts)
-
-    # At n = 19 and 20 the mean check's (n^2 - 1) * n! passes int64; from n = 21, n! does.
+    # (n^2 - 1) * n! passes int64 at n = 19 and 20, and n! itself from n = 21, so
+    # the law's n must be a Python int.
     @pytest.mark.parametrize("n", [19, 20, 30, 100])
     @pytest.mark.parametrize("to_numpy", [np.int64, np.int32])
     def test_numpy_integer_n_gives_the_python_int_law(self, n, to_numpy):
@@ -400,26 +383,10 @@ class TestSharedLaw:
             law.counts[0] = 5
         assert law.counts == {0: 1, 2: 2, 4: 3}
 
-    def test_law_copies_its_callers_counts(self):
-        counts = {0: 1, 2: 2, 4: 3}
-        law = ExactNullDistribution(n=3, counts=counts)
-        counts[0] = 5
-        del counts[4]
-        assert law.counts == {0: 1, 2: 2, 4: 3}
-        assert law.two_sided_p(4) == Fraction(4, 6)
-
     def test_law_pickles_and_copies(self):
         law = enumerate_null_distribution(5)
         for twin in (pickle.loads(pickle.dumps(law)), copy.deepcopy(law)):
             assert twin == law and twin.two_sided_p(8) == law.two_sided_p(8)
-
-    def test_user_built_law_equals_shared_law(self):
-        shared = enumerate_null_distribution(4)
-        for counts in (dict(shared.counts), dict(reversed(shared.counts.items()))):
-            built = ExactNullDistribution(n=4, counts=counts)
-            assert built == shared and built is not shared
-            assert list(built.counts.items()) == list(shared.counts.items())
-            assert list(built.counts) == list(range(0, max_distance(4) + 1, 2))
 
 
 distinct_reals = st.floats(allow_nan=False, allow_infinity=False)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from footrule import simulate
 from footrule.cli import main
-from footrule.common import Statistic, TiesError
+from footrule.common import DegenerateSampleError, NonFiniteError, Statistic, TiesError
 from footrule.moments import null_variance_exact
 from footrule.ranks import (
     PairedSample,
@@ -310,6 +310,15 @@ class TestCurveStudy:
         assert first != run_curve_study(2, (10,), 20, 8)
         assert (first[0] == "phi") is False
         assert first[0] != first[1]
+
+    @pytest.mark.parametrize("error", [DegenerateSampleError, NonFiniteError])
+    def test_refused_pool_names_its_statistic_and_n(self, monkeypatch, error):
+        def refuse(values, grid_size):
+            raise error("the KDE's message")
+
+        monkeypatch.setattr(simulate, "gaussian_kde", refuse)
+        with pytest.raises(error, match=r"^phi at n=10: the KDE's message$"):
+            run_curve_study(1, (10,), 20, 8)
 
 
 # One Philox pass per n serves all three statistics of both studies.

@@ -20,6 +20,13 @@ the change won (ties count for neither side) and a verdict:
 - `unresolved`: the parent's interquartile range, relative to its median,
   is wider than the bound, and not every change run beats every parent run;
 - `within bound` otherwise.
+
+The verdicts read the values bench/run.py reports, which it scales by a
+reference kernel timed in the workload's own process. The `unscaled`
+column is the change/parent ratio of the medians of the raw values, read
+from the `unscaled=` that ends each metric line. Where the two ratios
+disagree, the change also moved the reference kernel's speed, as a change
+to the process's heap can.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -38,13 +46,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = ROOT / "BENCHMARK.json"
 # bench/run.py stops its own child after 170 s; this only ends a run that hangs.
 RUN_TIMEOUT_S = 900
+# A metric line of bench/run.py --trace 0: workload, name, value, unit, n=..., unscaled=...
+UNSCALED = re.compile(r"^\S+\s+(\S+)\s.*\sunscaled=(\S+)$", re.MULTILINE)
 
 
 def parse_run(returncode: int, stdout: str) -> dict | None:
     """Metric name -> value of one clean run; None for a failed one.
 
-    A run is failed if it exits non-zero, its last line is not a JSON
-    object with metrics, or it reports a failed operation.
+    The values are the scaled ones of the last line's JSON object; the
+    key "unscaled" holds metric name -> the value of each metric line's
+    `unscaled=`. A run is failed if it exits non-zero, its last line is
+    not a JSON object with metrics, or it reports a failed operation.
     """
     lines = stdout.strip().splitlines()
     if returncode != 0 or not lines:
@@ -53,9 +65,11 @@ def parse_run(returncode: int, stdout: str) -> dict | None:
         result = json.loads(lines[-1])
         if result["failed"] != 0:
             return None
-        return {name: float(m["value"]) for name, m in result["metrics"].items()}
+        values = {name: float(m["value"]) for name, m in result["metrics"].items()}
+        values["unscaled"] = {name: float(raw) for name, raw in UNSCALED.findall(stdout)}
     except (ValueError, TypeError, KeyError):
         return None
+    return values
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -70,7 +84,8 @@ def compare(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) -
 
     `metrics` are BENCHMARK.json's `end_to_end` entries (name, unit,
     better, bound). A failed run is None; a pair with one counts as run
-    but won by neither side.
+    but won by neither side. A run without an unscaled value of a metric
+    is left out of that metric's unscaled ratio.
     """
     rows = []
     for metric in metrics:
@@ -88,6 +103,11 @@ def compare(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) -
         row["change_q"] = _quartiles(change)
         c_med = row["change_q"][1]
         row["ratio"] = c_med / p_med if p_med else float("nan")
+        raw = [[run["unscaled"][name] for run in side
+                if run is not None and name in run.get("unscaled", {})] for side in zip(*pairs)]
+        if all(raw):
+            p_raw, c_raw = (statistics.median(values) for values in raw)
+            row["unscaled_ratio"] = c_raw / p_raw if p_raw else float("nan")
         gain = sign * (c_med - p_med)
         # Relative to the parent's median, as BENCHMARK.json's bounds are.
         spread = (p_q3 - p_q1) / abs(p_med) if p_med else float("inf")
@@ -105,15 +125,18 @@ def compare(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) -
 
 def format_table(rows: list[dict]) -> str:
     out = [f"{'metric':<12} {'unit':<5} {'parent median [q1, q3]':>32} "
-           f"{'change median [q1, q3]':>32} {'change/parent':>13} {'won':>7}  verdict"]
+           f"{'change median [q1, q3]':>32} {'change/parent':>13} {'unscaled':>8} "
+           f"{'won':>7}  verdict"]
     for row in rows:
         if "ratio" not in row:
             out.append(f"{row['name']:<12} {row['unit']:<5} {row['verdict']}")
             continue
         cells = [f"{m:.6g} [{lo:.6g}, {hi:.6g}]" for lo, m, hi in (row["parent_q"],
                                                                    row["change_q"])]
+        raw = f"{row['unscaled_ratio']:.4f}" if "unscaled_ratio" in row else "-"
         out.append(f"{row['name']:<12} {row['unit']:<5} {cells[0]:>32} {cells[1]:>32} "
-                   f"{row['ratio']:>13.4f} {row['won']:>3}/{row['pairs']:<3}  {row['verdict']}")
+                   f"{row['ratio']:>13.4f} {raw:>8} {row['won']:>3}/{row['pairs']:<3}  "
+                   f"{row['verdict']}")
     return "\n".join(out)
 
 
@@ -130,7 +153,7 @@ def _run(tree: Path, args, seed: int) -> tuple[dict | None, str]:
     if values is None:
         tail = (proc.stderr.strip().splitlines() or proc.stdout.strip().splitlines() or [""])
         return None, f"FAILED (exit {proc.returncode}): {tail[-1]}"
-    return values, " ".join(f"{k}={v:.6g}" for k, v in values.items())
+    return values, " ".join(f"{k}={v:.6g}" for k, v in values.items() if k != "unscaled")
 
 
 def run_pairs(run, pairs: int, seed: int) -> tuple[list[tuple], list[str]]:
