@@ -15,6 +15,11 @@ statistic is then evaluated on its (replications, 2n) slice. A row
 where numpy would have rejected a word and drawn again, or where the
 rank statistic meets a tie, is read again alone from the same words:
 rejected words are skipped and a tie moves on to the next 2n uniforms.
+
+Because every value is a pure function of (seed, replication, statistic,
+n), the draws of the most recent seed are kept, one pool per n, and every
+later study on that seed reads a prefix of a pool or extends it: the
+moment and KS studies on one seed draw their shared replications once.
 """
 
 from __future__ import annotations
@@ -280,19 +285,58 @@ def _redraw_row(seed: int, rep: int, n: int, statistic: Statistic) -> tuple[floa
     raise TiesError(f"stream ({seed}, {rep}) tied on {_MAX_REDRAWS + 1} draws in a row")
 
 
-def _draw_chunk(seed: int, n: int, lo: int, hi: int, values: np.ndarray) -> list[int]:
+def _draw_chunk(seed: int, n: int, lo: int, hi: int,
+                values: np.ndarray) -> list[tuple[int, int, int]]:
     """Write replications lo..hi-1 of each statistic into its row of
-    `values`, from one Philox pass; return each statistic's tie redraws."""
+    `values`, from one Philox pass; return (statistic index, replication,
+    tie redraws) for each row read again alone."""
     vec, rejected = _uniform_rows(seed, np.arange(lo, hi, dtype=np.uint64),
                                   tuple(_block(stat, n) for stat in Statistic), 2 * n)
     rejected = rejected.any(axis=-1)
-    redraws = [0] * len(Statistic)
+    redrawn = []
     for i, stat in enumerate(Statistic):
         values[i, lo:hi], tied = _statistic_rows(vec[:, i], n, stat)
         for row in np.flatnonzero(tied | rejected[:, i]):
-            values[i, lo + row], extra = _redraw_row(seed, lo + int(row), n, stat)
-            redraws[i] += extra
-    return redraws
+            rep = lo + int(row)
+            values[i, rep], extra = _redraw_row(seed, rep, n, stat)
+            redrawn.append((i, rep, extra))
+    return redrawn
+
+
+def _draw_range(seed: int, n: int, lo: int, hi: int,
+                values: np.ndarray) -> list[tuple[int, int, int]]:
+    """Write replications lo..hi-1 of each statistic into `values`, in
+    batches; return the rows read again alone, as _draw_chunk does.
+
+    A batch holds about _CHUNK_WORDS words, counting the 2n words of all
+    three statistics, so one Philox pass serves every statistic of a
+    batch. The batch count is max(1, round((hi - lo) * 6n / _CHUNK_WORDS)),
+    at most one per replication, and the replications split evenly:
+    batch sizes differ by at most one row, so no short tail batch pays a
+    pass's fixed cost for a few rows. Batches run in order on the calling
+    thread.
+    """
+    count = hi - lo
+    batches = min(count, max(1, round(count * 2 * n * len(Statistic) / _CHUNK_WORDS)))
+    bounds = [lo + i * count // batches for i in range(batches + 1)]
+    return [row for start, stop in zip(bounds, bounds[1:])
+            for row in _draw_chunk(seed, n, start, stop, values)]
+
+
+@dataclass(frozen=True, eq=False)
+class _Pool:
+    """Replications 0..R-1 of each statistic at one (seed, n), one read-only
+    (3, R) array, and the (statistic index, replication, tie redraws) of
+    each row the engine read again alone. Pools compare by identity."""
+
+    values: np.ndarray
+    redrawn: tuple[tuple[int, int, int], ...]
+
+
+# The most recent seed's pools, by (seed, n). Values do not depend on how
+# replications are split into draws, so a pool serves any prefix of itself
+# and grows by drawing only the replications it lacks.
+_POOLS: dict[tuple[int, int], _Pool] = {}
 
 
 def _draw_statistics(
@@ -300,24 +344,36 @@ def _draw_statistics(
     n: int,
     replications: int,
 ) -> dict[Statistic, tuple[np.ndarray, int]]:
-    """Each statistic's replication values at n, and its tie redraws.
+    """Each statistic's values for replications 0..replications-1 at n,
+    and its tie redraws over those replications.
 
-    stream_id = replication index. Replications are drawn in batches of
-    about _CHUNK_WORDS words, counting the 2n words of all three
-    statistics, so one Philox pass serves every statistic of a batch.
-    The batch count is max(1, round(replications * 6n / _CHUNK_WORDS)),
-    at most one per replication, and the replications split evenly:
-    batch sizes differ by at most one row, so no short tail batch pays
-    a pass's fixed cost for a few rows. Batches run in order on the
-    calling thread, and each writes its own slots of the output.
+    stream_id = replication index. The values are read-only views of the
+    pool of (seed, n), which keeps every replication drawn so far on this
+    seed: only replications beyond the pool are drawn, through
+    _draw_range, into a longer array that replaces the pool once it is
+    whole, so a failed draw leaves the pool as it was. A new seed drops
+    every pool before it draws, so at most one seed's pools, 3 * 8 * R
+    bytes per n, stay alive. The values and redraw counts are those a
+    draw with no pool gives.
     """
-    values = np.empty((len(Statistic), replications), dtype=float)
-    row_words = 2 * n * len(Statistic)
-    batches = min(replications, max(1, round(replications * row_words / _CHUNK_WORDS)))
-    bounds = [i * replications // batches for i in range(batches + 1)]
-    totals = [_draw_chunk(seed, n, lo, hi, values) for lo, hi in zip(bounds, bounds[1:])]
-    redraws = [sum(counts) for counts in zip(*totals)]
-    return {stat: (values[i], redraws[i]) for i, stat in enumerate(Statistic)}
+    if _POOLS and next(iter(_POOLS))[0] != seed:
+        _POOLS.clear()
+    pool = _POOLS.get((seed, n))
+    have = 0 if pool is None else pool.values.shape[1]
+    if have < replications:
+        values = np.empty((len(Statistic), replications), dtype=float)
+        redrawn = _draw_range(seed, n, have, replications, values)
+        if pool is not None:
+            values[:, :have] = pool.values
+            redrawn = [*pool.redrawn, *redrawn]
+        values.flags.writeable = False
+        pool = _POOLS[seed, n] = _Pool(values, tuple(redrawn))
+    redraws = [0] * len(Statistic)
+    for i, rep, extra in pool.redrawn:
+        if rep < replications:
+            redraws[i] += extra
+    return {stat: (pool.values[i, :replications], redraws[i])
+            for i, stat in enumerate(Statistic)}
 
 
 @dataclass(frozen=True)
@@ -438,8 +494,8 @@ def run_curve_study(
     var = limiting_variance()
     rows = []
     for n in sample_sizes:
-        for stat, (values, _) in _draw_statistics(seed, n, replications).items():
-            values *= math.sqrt(n)
+        for stat, (pool, _) in _draw_statistics(seed, n, replications).items():
+            values = pool * math.sqrt(n)
             try:
                 grid, density = gaussian_kde(values, grid_size=grid_size)
             except (DegenerateSampleError, NonFiniteError) as exc:

@@ -1,9 +1,11 @@
 """tools/bench_ab.py on canned bench/run.py output: no benchmark runs here."""
 
+import argparse
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,3 +133,22 @@ def test_unscaled_ratio_is_shown_but_never_judged():
     table = bench_ab.format_table([wall, rss]).splitlines()
     assert " 1.0300   0.9500   0/6 " in table[1]
     assert " 1.0639        -   0/6 " in table[2]
+
+
+def test_json_record_holds_the_rows_both_commits_and_numpy_version():
+    parent = canned({"wall_s": 0.0541, "peak_rss_mb": 43.1}, unscaled={"wall_s": 0.0500})
+    change = canned({"wall_s": 0.0298, "peak_rss_mb": 43.4}, unscaled={"wall_s": 0.0290})
+    pairs = [(bench_ab.parse_run(0, parent), bench_ab.parse_run(0, change))] * 10
+    rows = bench_ab.compare(pairs, [WALL, RSS])
+    args = argparse.Namespace(workload="tables", pairs=10, seconds=25, seed=1, holdout=False)
+    doc = json.loads(json.dumps(bench_ab.record(rows, args, "a" * 40, "b" * 40, True)))
+    assert (doc["parent_sha"], doc["change_sha"], doc["change_dirty"]) == ("a" * 40, "b" * 40,
+                                                                           True)
+    assert doc["numpy"] == np.__version__
+    assert (doc["workload"], doc["pairs"], doc["seconds"], doc["seed"]) == ("tables", 10, 25, 1)
+    wall, rss = doc["metrics"]
+    assert (wall["name"], wall["verdict"], wall["won"]) == ("wall_s", "gain", 10)
+    assert wall["ratio"] == pytest.approx(0.0298 / 0.0541)
+    assert wall["unscaled_ratio"] == pytest.approx(0.0290 / 0.0500)
+    assert wall["parent_q"] == [0.0541] * 3 and wall["change"] == [0.0298] * 10
+    assert rss["verdict"] == "within bound"

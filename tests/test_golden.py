@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from footrule import simulate
 from footrule.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -31,14 +32,30 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", RUNS)
-def test_output_matches_golden(tmp_path, name):
+def check_golden(tmp_path, name):
     argv, files = RUNS[name]
     out = tmp_path / name
     assert main(argv + ["--full-precision", "--out", str(out)]) == 0
     for filename in files:
         written = tmp_path / filename if len(files) > 1 else out
         assert written.read_bytes() == (GOLDEN / filename).read_bytes(), filename
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_output_matches_golden(tmp_path, name):
+    check_golden(tmp_path, name)
+
+
+def test_studies_on_one_seed_share_pools(tmp_path):
+    # The three studies back to back, pools kept: kstest reads the 50-replication
+    # pools moments drew, and curves extends n = 10 and n = 30 to 200 replications.
+    check_golden(tmp_path, "moments")
+    drawn = dict(simulate._POOLS)
+    check_golden(tmp_path, "kstest")
+    assert simulate._POOLS == drawn  # the same pool objects: kstest drew nothing
+    check_golden(tmp_path, "curves")
+    reps = {n: pool.values.shape[1] for (_, n), pool in simulate._POOLS.items()}
+    assert reps == {n: 200 if n in (10, 30) else 50 for n in range(10, 101, 10)}
 
 
 # Columns that hold integers or labels; every other column holds floats.

@@ -106,6 +106,7 @@ class TestUniformOpen:
 class TestDrawStatistic:
     def test_reproducible(self):
         first, _ = _draw_statistics(42, 20, 13)[Statistic.FOOTRULE]
+        simulate._POOLS.clear()
         again, _ = _draw_statistics(42, 20, 13)[Statistic.FOOTRULE]
         assert first[12] == again[12]
 
@@ -209,12 +210,13 @@ class TestKsStudy:
         # statistics at n are a pure function of (seed, rep, statistic, n),
         # so rerunning with the same seed reproduces every row exactly
         first = run_ks_study(seed=9, sample_sizes=(15,), replications=60)
+        simulate._POOLS.clear()
         second = run_ks_study(seed=9, sample_sizes=(15,), replications=60)
         assert first == second
 
     def test_footrule_repetition_at_n10(self):
         values, _ = _draw_statistics(4, 10, 1000)[Statistic.FOOTRULE]
-        values *= math.sqrt(10)
+        values = values * math.sqrt(10)
         assert len(set(values.tolist())) < 60  # the scaled statistic has few atoms
 
     def test_one_normal_cdf_call_per_one_sample_test(self, monkeypatch):
@@ -242,7 +244,7 @@ class TestKsStudy:
             hits = 0
             for i in range(10):
                 values, _ = _draw_statistics(500 + i, n, 1000)[Statistic.HAJEK]
-                values *= math.sqrt(n)
+                values = values * math.sqrt(n)
                 outcome = ks_one_sample(values, lambda t: normal_cdf(t, 0.0, 0.4))
                 hits += outcome.p_value > 0.01
             assert hits >= 8, f"n={n}: only {hits}/10 seeds above 0.01"
@@ -400,7 +402,10 @@ class TestBatchedEngine:
     def _force(monkeypatch, rep, block, edits):
         """Put `edits` ({word index: word}) into counter block `block` of stream
         `rep` wherever the engine reads it, make numpy's Philox and Generator
-        unusable, and record the replications the engine redraws one at a time."""
+        unusable, and record the replications the engine redraws one at a time.
+        Until the patches are undone the engine draws into pools of its own,
+        so no pool drawn before serves a forced draw, and no forced value
+        outlives the patches."""
         real_words, real_redraw = simulate._philox_words, simulate._redraw_row
         redrawn = []
 
@@ -421,6 +426,7 @@ class TestBatchedEngine:
 
         monkeypatch.setattr(simulate, "_philox_words", words)
         monkeypatch.setattr(simulate, "_redraw_row", redraw_row)
+        monkeypatch.setattr(simulate, "_POOLS", {})
         monkeypatch.setattr(np.random, "Philox", unusable)
         monkeypatch.setattr(np.random, "Generator", unusable)
         return redrawn
@@ -582,6 +588,7 @@ class TestBatchedEngine:
                 "--seed", "13", "--full-precision"]
         one, two = tmp_path / "one.csv", tmp_path / "two.csv"
         assert main(base + ["--threads", "1", "--out", str(one)]) == 0
+        simulate._POOLS.clear()
         assert main(base + ["--threads", "2", "--out", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
 
@@ -594,6 +601,7 @@ class TestBatchedEngine:
                 "--full-precision"]
 
         def outputs(label, threads):
+            simulate._POOLS.clear()  # draw again, not from the first run's pool
             assert main(base + ["--threads", threads, "--out", str(tmp_path / label)]) == 0
             return {p.name.removeprefix(label): p.read_bytes() for p in tmp_path.glob(f"{label}*")}
 
@@ -616,6 +624,7 @@ class TestBatchedEngine:
 
         def outputs(label, *threads):
             for name, args in runs.items():
+                simulate._POOLS.clear()  # each study draws its own replications
                 out = tmp_path / (f"{label}-{name}" + ("" if name == "curves" else ".csv"))
                 assert main(["simulate", *args, *base, *threads, "--out", str(out)]) == 0
             return {path.name.removeprefix(label): path.read_bytes()
@@ -647,6 +656,7 @@ class TestBatchedEngine:
 
         monkeypatch.setattr(simulate, "_draw_chunk", chunk)
         monkeypatch.setattr(simulate, "_CHUNK_WORDS", chunk_words)
+        simulate._POOLS.clear()
         drawn = _draw_statistics(5, n, reps)
         for stat in Statistic:
             assert drawn[stat][0].tobytes() == expected[stat][0].tobytes()
@@ -658,6 +668,87 @@ class TestBatchedEngine:
         assert max(sizes) - min(sizes) <= 1
         assert max(sizes) * 6 * n <= 1.5 * chunk_words + 6 * n
         assert len(bounds) == {30: 37, 60: 37, 100: 22, 600: 4}.get(chunk_words, 1)
+
+
+class TestPools:
+    """One seed's draws are kept, one pool per n, and serve every later request."""
+
+    N = 9
+    BLOCK = _block(Statistic.FOOTRULE, 9)
+
+    def _force_ties(self, monkeypatch, reps):
+        """A tie in each of replications `reps` of phi at n = 9, seed 5."""
+        for rep in reps:
+            head = TestBatchedEngine._head(5, rep, self.BLOCK)
+            TestBatchedEngine._force(monkeypatch, rep, self.BLOCK, {1: head[0]})
+
+    @staticmethod
+    def _assert_same(drawn, expected):
+        for stat in Statistic:
+            assert drawn[stat][0].tobytes() == expected[stat][0].tobytes()
+            assert drawn[stat][1] == expected[stat][1]
+
+    def test_prefix_and_extension_equal_cold_draws(self, monkeypatch):
+        # one forced tie inside the 50-replication prefix, one beyond it
+        self._force_ties(monkeypatch, (30, 90))
+        cold = {}
+        for reps in (50, 120):
+            simulate._POOLS.clear()
+            cold[reps] = _draw_statistics(5, self.N, reps)
+        assert [cold[reps][Statistic.FOOTRULE][1] for reps in (50, 120)] == [1, 2]
+        self._assert_same(_draw_statistics(5, self.N, 50), cold[50])  # a prefix of 120
+        simulate._POOLS.clear()
+        self._assert_same(_draw_statistics(5, self.N, 50), cold[50])
+        real_chunk, batches = simulate._draw_chunk, []
+
+        def chunk(seed, n, lo, hi, values):
+            batches.append((lo, hi))
+            return real_chunk(seed, n, lo, hi, values)
+
+        monkeypatch.setattr(simulate, "_draw_chunk", chunk)
+        self._assert_same(_draw_statistics(5, self.N, 120), cold[120])
+        assert batches == [(50, 120)]  # only the replications the pool lacked
+        self._assert_same(_draw_statistics(5, self.N, 50), cold[50])
+
+    def test_repeat_request_makes_no_philox_pass(self, monkeypatch):
+        first = _draw_statistics(3, 10, 40)
+
+        def no_pass(*args):
+            raise AssertionError("a pooled request drew words")
+
+        monkeypatch.setattr(simulate, "_philox_words", no_pass)
+        self._assert_same(_draw_statistics(3, 10, 40), first)
+        prefix = _draw_statistics(3, 10, 25)
+        for stat in Statistic:
+            assert prefix[stat][0].tobytes() == first[stat][0][:25].tobytes()
+
+    def test_new_seed_drops_old_pools(self):
+        for n in (10, 20):
+            _draw_statistics(1, n, 30)
+        assert set(simulate._POOLS) == {(1, 10), (1, 20)}
+        _draw_statistics(2, 10, 30)
+        assert set(simulate._POOLS) == {(2, 10)}
+
+    def test_failed_extension_keeps_the_pool(self, monkeypatch):
+        self._force_ties(monkeypatch, (90,))
+        monkeypatch.setattr(simulate, "_MAX_REDRAWS", 0)
+        before = _draw_statistics(5, self.N, 50)
+        with pytest.raises(TiesError):
+            _draw_statistics(5, self.N, 120)
+        assert simulate._POOLS[5, self.N].values.shape == (3, 50)
+        self._assert_same(_draw_statistics(5, self.N, 50), before)
+
+    def test_pools_are_read_only_and_curves_leave_them_unchanged(self):
+        drawn = _draw_statistics(4, 10, 60)
+        kept = {stat: values.copy() for stat, (values, _) in drawn.items()}
+        for values, _ in drawn.values():
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+            with pytest.raises(ValueError):
+                values.flags.writeable = True
+        run_curve_study(4, (10,), 60, 16)
+        for stat, (values, _) in _draw_statistics(4, 10, 60).items():
+            assert values.tobytes() == kept[stat].tobytes()
 
 
 class TestExactLawOracle:

@@ -1,6 +1,7 @@
 """A/B benchmark: the working tree against a parent commit, in alternating pairs.
 
     python3 tools/bench_ab.py PARENT --workload curves --pairs 10 [--seconds S] [--seed N] [--holdout]
+                              [--json PATH]
 
 PARENT's committed files are extracted with `git archive` into a temporary
 directory. Pair i runs `bench/run.py --trace 0 --seed N+i` once there and
@@ -27,11 +28,16 @@ column is the change/parent ratio of the medians of the raw values, read
 from the `unscaled=` that ends each metric line. Where the two ratios
 disagree, the change also moved the reference kernel's speed, as a change
 to the process's heap can.
+
+`--json PATH` also writes the table's rows to PATH, with the run's
+settings, the parent's commit, the working tree's HEAD commit and whether
+the tree held uncommitted changes, and numpy's version.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
 import json
 import re
@@ -140,6 +146,18 @@ def format_table(rows: list[dict]) -> str:
     return "\n".join(out)
 
 
+def record(rows: list[dict], args, parent_sha: str, change_sha: str, dirty: bool) -> dict:
+    """The --json document: the settings, both commits, numpy's version and `rows`."""
+    return {"workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
+            "seed": args.seed, "holdout": args.holdout, "parent_sha": parent_sha,
+            "change_sha": change_sha, "change_dirty": dirty,
+            "numpy": importlib.metadata.version("numpy"), "metrics": rows}
+
+
+def _git(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, text=True)
+
+
 def _run(tree: Path, args, seed: int) -> tuple[dict | None, str]:
     argv = [sys.executable, str(tree / "bench" / "run.py"), "--workload", args.workload,
             "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0",
@@ -187,14 +205,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--holdout", action="store_true",
                         help="run bench/run.py on its holdout input pool")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write the result rows, both commits and numpy's version")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds < 1:
         parser.error("--pairs and --seconds must be at least 1")
-    rev = subprocess.run(["git", "rev-parse", "--verify", f"{args.parent}^{{commit}}"],
-                         cwd=ROOT, capture_output=True, text=True)
+    rev = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     if rev.returncode != 0:
         parser.error(f"not a commit: {args.parent}")
     sha = rev.stdout.strip()
+    head = _git("rev-parse", "HEAD").stdout.strip()
+    dirty = bool(_git("status", "--porcelain").stdout.strip())
     archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
                              capture_output=True, check=True).stdout
     print(f"parent {sha}; workload {args.workload}, {args.pairs} pairs of {args.seconds} s, "
@@ -206,9 +227,13 @@ def main(argv: list[str] | None = None) -> int:
         trees = {"parent": Path(tmp), "change": ROOT}
         pairs, failed = run_pairs(lambda side, seed: _run(trees[side], args, seed),
                                   args.pairs, args.seed)
-    print(format_table(compare(pairs, spec["end_to_end"])))
+    rows = compare(pairs, spec["end_to_end"])
+    print(format_table(rows))
     for line in failed:
         print(f"not pooled: {line}")
+    if args.json:
+        args.json.write_text(json.dumps(record(rows, args, sha, head, dirty), indent=1) + "\n",
+                             encoding="utf-8")
     return 0
 
 
