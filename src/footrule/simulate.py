@@ -17,9 +17,10 @@ rank statistic meets a tie, is read again alone from the same words:
 rejected words are skipped and a tie moves on to the next 2n uniforms.
 
 Because every value is a pure function of (seed, replication, statistic,
-n), the draws of the most recent seed are kept, one pool per n, and every
-later study on that seed reads a prefix of a pool or extends it: the
-moment and KS studies on one seed draw their shared replications once.
+n), the draws of the most recent seed are kept, one pool per n, and a
+later study on that seed reads a prefix of a pool; a larger request
+draws its n again from replication 0. The moment and KS studies on one
+seed thus draw their shared replications once.
 """
 
 from __future__ import annotations
@@ -303,26 +304,6 @@ def _draw_chunk(seed: int, n: int, lo: int, hi: int,
     return redrawn
 
 
-def _draw_range(seed: int, n: int, lo: int, hi: int,
-                values: np.ndarray) -> list[tuple[int, int, int]]:
-    """Write replications lo..hi-1 of each statistic into `values`, in
-    batches; return the rows read again alone, as _draw_chunk does.
-
-    A batch holds about _CHUNK_WORDS words, counting the 2n words of all
-    three statistics, so one Philox pass serves every statistic of a
-    batch. The batch count is max(1, round((hi - lo) * 6n / _CHUNK_WORDS)),
-    at most one per replication, and the replications split evenly:
-    batch sizes differ by at most one row, so no short tail batch pays a
-    pass's fixed cost for a few rows. Batches run in order on the calling
-    thread.
-    """
-    count = hi - lo
-    batches = min(count, max(1, round(count * 2 * n * len(Statistic) / _CHUNK_WORDS)))
-    bounds = [lo + i * count // batches for i in range(batches + 1)]
-    return [row for start, stop in zip(bounds, bounds[1:])
-            for row in _draw_chunk(seed, n, start, stop, values)]
-
-
 @dataclass(frozen=True, eq=False)
 class _Pool:
     """Replications 0..R-1 of each statistic at one (seed, n), one read-only
@@ -333,9 +314,8 @@ class _Pool:
     redrawn: tuple[tuple[int, int, int], ...]
 
 
-# The most recent seed's pools, by (seed, n). Values do not depend on how
-# replications are split into draws, so a pool serves any prefix of itself
-# and grows by drawing only the replications it lacks.
+# The most recent seed's pools, by (seed, n). A pool serves any prefix of
+# itself; a larger request draws its (seed, n) again from replication 0.
 _POOLS: dict[tuple[int, int], _Pool] = {}
 
 
@@ -348,26 +328,32 @@ def _draw_statistics(
     and its tie redraws over those replications.
 
     stream_id = replication index. The values are read-only views of the
-    pool of (seed, n), which keeps every replication drawn so far on this
-    seed: only replications beyond the pool are drawn, through
-    _draw_range, into a longer array that replaces the pool once it is
-    whole, so a failed draw leaves the pool as it was. A new seed drops
-    every pool before it draws, so at most one seed's pools, 3 * 8 * R
-    bytes per n, stay alive. The values and redraw counts are those a
-    draw with no pool gives.
+    pool of (seed, n). A request the pool holds reads a prefix of it; any
+    other draws every replication afresh, and the new array replaces the
+    pool once it is whole, so a failed draw leaves the pool as it was. A
+    new seed drops every pool first, so at most one seed's pools,
+    3 * 8 * R bytes per n, stay alive.
+
+    A batch holds about _CHUNK_WORDS words, counting the 2n words of all
+    three statistics, so one Philox pass serves every statistic of a
+    batch. The batch count is max(1, round(replications * 6n /
+    _CHUNK_WORDS)), at most one per replication, and the replications
+    split evenly: batch sizes differ by at most one row, so no short tail
+    batch pays a pass's fixed cost for a few rows. Batches run in order
+    on the calling thread.
     """
     if _POOLS and next(iter(_POOLS))[0] != seed:
         _POOLS.clear()
     pool = _POOLS.get((seed, n))
-    have = 0 if pool is None else pool.values.shape[1]
-    if have < replications:
+    if pool is None or pool.values.shape[1] < replications:
         values = np.empty((len(Statistic), replications), dtype=float)
-        redrawn = _draw_range(seed, n, have, replications, values)
-        if pool is not None:
-            values[:, :have] = pool.values
-            redrawn = [*pool.redrawn, *redrawn]
+        row_words = 2 * n * len(Statistic)
+        batches = min(replications, max(1, round(replications * row_words / _CHUNK_WORDS)))
+        bounds = [i * replications // batches for i in range(batches + 1)]
+        redrawn = tuple(row for lo, hi in zip(bounds, bounds[1:])
+                        for row in _draw_chunk(seed, n, lo, hi, values))
         values.flags.writeable = False
-        pool = _POOLS[seed, n] = _Pool(values, tuple(redrawn))
+        pool = _POOLS[seed, n] = _Pool(values, redrawn)
     redraws = [0] * len(Statistic)
     for i, rep, extra in pool.redrawn:
         if rep < replications:

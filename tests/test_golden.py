@@ -48,7 +48,7 @@ def test_output_matches_golden(tmp_path, name):
 
 def test_studies_on_one_seed_share_pools(tmp_path):
     # The three studies back to back, pools kept: kstest reads the 50-replication
-    # pools moments drew, and curves extends n = 10 and n = 30 to 200 replications.
+    # pools moments drew, and curves draws n = 10 and n = 30 again at 200 replications.
     check_golden(tmp_path, "moments")
     drawn = dict(simulate._POOLS)
     check_golden(tmp_path, "kstest")

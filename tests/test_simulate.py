@@ -688,17 +688,11 @@ class TestPools:
             assert drawn[stat][0].tobytes() == expected[stat][0].tobytes()
             assert drawn[stat][1] == expected[stat][1]
 
-    def test_prefix_and_extension_equal_cold_draws(self, monkeypatch):
-        # one forced tie inside the 50-replication prefix, one beyond it
+    def test_larger_request_draws_again_from_replication_0(self, monkeypatch):
+        # one forced tie inside the 50-replication prefix, one beyond it; small
+        # batches, so each draw takes several
         self._force_ties(monkeypatch, (30, 90))
-        cold = {}
-        for reps in (50, 120):
-            simulate._POOLS.clear()
-            cold[reps] = _draw_statistics(5, self.N, reps)
-        assert [cold[reps][Statistic.FOOTRULE][1] for reps in (50, 120)] == [1, 2]
-        self._assert_same(_draw_statistics(5, self.N, 50), cold[50])  # a prefix of 120
-        simulate._POOLS.clear()
-        self._assert_same(_draw_statistics(5, self.N, 50), cold[50])
+        monkeypatch.setattr(simulate, "_CHUNK_WORDS", 1 << 10)
         real_chunk, batches = simulate._draw_chunk, []
 
         def chunk(seed, n, lo, hi, values):
@@ -706,9 +700,20 @@ class TestPools:
             return real_chunk(seed, n, lo, hi, values)
 
         monkeypatch.setattr(simulate, "_draw_chunk", chunk)
-        self._assert_same(_draw_statistics(5, self.N, 120), cold[120])
-        assert batches == [(50, 120)]  # only the replications the pool lacked
+        cold, cold_batches = {}, {}
+        for reps in (50, 120):
+            simulate._POOLS.clear()
+            batches.clear()
+            cold[reps] = _draw_statistics(5, self.N, reps)
+            cold_batches[reps] = batches.copy()
+        assert [cold[reps][Statistic.FOOTRULE][1] for reps in (50, 120)] == [1, 2]
+        assert len(cold_batches[120]) > 1 and cold_batches[120][0][0] == 0
+        simulate._POOLS.clear()
         self._assert_same(_draw_statistics(5, self.N, 50), cold[50])
+        batches.clear()
+        self._assert_same(_draw_statistics(5, self.N, 120), cold[120])
+        assert batches == cold_batches[120]  # not [(50, 120)]: the cold draw's batches
+        self._assert_same(_draw_statistics(5, self.N, 50), cold[50])  # a prefix of 120
 
     def test_repeat_request_makes_no_philox_pass(self, monkeypatch):
         first = _draw_statistics(3, 10, 40)
@@ -729,7 +734,7 @@ class TestPools:
         _draw_statistics(2, 10, 30)
         assert set(simulate._POOLS) == {(2, 10)}
 
-    def test_failed_extension_keeps_the_pool(self, monkeypatch):
+    def test_failed_larger_draw_keeps_the_pool(self, monkeypatch):
         self._force_ties(monkeypatch, (90,))
         monkeypatch.setattr(simulate, "_MAX_REDRAWS", 0)
         before = _draw_statistics(5, self.N, 50)
@@ -737,6 +742,35 @@ class TestPools:
             _draw_statistics(5, self.N, 120)
         assert simulate._POOLS[5, self.N].values.shape == (3, 50)
         self._assert_same(_draw_statistics(5, self.N, 50), before)
+
+    @staticmethod
+    def _cold(seed, n, reps):
+        """A draw with no pool, which leaves the pools as they were."""
+        kept, simulate._POOLS = simulate._POOLS, {}
+        try:
+            return _draw_statistics(seed, n, reps)
+        finally:
+            simulate._POOLS = kept
+
+    @settings(max_examples=40, deadline=None)
+    @given(requests=st.lists(st.tuples(st.sampled_from((5, 6)), st.sampled_from((5, 9)),
+                                       st.integers(2, 60)), min_size=1, max_size=12))
+    # a hit, a prefix, a larger request, a seed switch and a return to the seed
+    @example(requests=[(5, 9, 30), (5, 9, 30), (5, 9, 10), (5, 9, 50), (5, 5, 20),
+                       (6, 9, 20), (5, 9, 60)])
+    def test_any_request_order_equals_cold_draws(self, requests):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            # forced phi ties in replications 7 and 40 of seed 5 at both n
+            for n in (5, 9):
+                block = _block(Statistic.FOOTRULE, n)
+                for rep in (7, 40):
+                    head = TestBatchedEngine._head(5, rep, block)
+                    TestBatchedEngine._force(monkeypatch, rep, block, {1: head[0]})
+            for seed, n, reps in requests:
+                cold = self._cold(seed, n, reps)
+                if seed == 5:
+                    assert cold[Statistic.FOOTRULE][1] == (reps > 7) + (reps > 40)
+                self._assert_same(_draw_statistics(seed, n, reps), cold)
 
     def test_pools_are_read_only_and_curves_leave_them_unchanged(self):
         drawn = _draw_statistics(4, 10, 60)
