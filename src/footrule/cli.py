@@ -121,9 +121,9 @@ def _out_target(out: str | Path | None) -> tuple[Path, Path | None] | None:
     None: stdout, for no --out and for a path naming the file open on
     fd 1 (`/dev/stdout`), so what is printed after the CSV follows it.
     (path, None): an existing FIFO or device, written in place.
-    (path, file): a regular file, written as `<file>.tmp` and renamed
-    over `file`, the path with every symlink resolved, so a link keeps
-    pointing at the new file.
+    (path, file): a regular file, written as a new temporary file beside
+    `file` and renamed over it, `file` being the path with every symlink
+    resolved, so a link keeps pointing at the new file.
 
     An empty path, a directory, an unwritable FIFO or device, or a missing
     or unwritable directory fails at once instead of after a whole study
@@ -164,9 +164,9 @@ def _write_csv(target: tuple[Path, Path | None] | None, header: list[str], block
 
     Each block is formatted and written before the next one is taken from
     `blocks`, so only one block's text is held at a time. Stdout is
-    written through `sys.stdout`; a regular file as `<file>.tmp`, then
-    renamed over it, so a partial file never survives a failure; a FIFO or
-    device in place.
+    written through `sys.stdout`; a regular file as a new file
+    `.footrule-<random hex>.tmp` beside it, then renamed over it, so a
+    partial file never survives a failure; a FIFO or device in place.
     """
     fmt = _float_format(full_precision)
 
@@ -179,9 +179,18 @@ def _write_csv(target: tuple[Path, Path | None] | None, header: list[str], block
         _to_stdout(emit)
         return
     path, file = target
-    tmp = file and file.with_name(file.name + ".tmp")
+    tmp = None
     try:
-        with open(tmp or path, "w", encoding="utf-8", newline="") as handle:
+        if file:
+            # Mode "x" creates a new file (O_CREAT | O_EXCL, mode 0o666 less the
+            # umask), so a stray file or symlink at the name is never written. The
+            # name leaves out the target's, so it fits wherever the target's fits.
+            name = file.with_name(f".footrule-{os.urandom(8).hex()}.tmp")
+            handle = open(name, "x", encoding="utf-8", newline="")
+            tmp = name
+        else:
+            handle = open(path, "w", encoding="utf-8", newline="")
+        with handle:
             emit(handle)
         if tmp:
             os.replace(tmp, file)

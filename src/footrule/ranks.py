@@ -27,12 +27,13 @@ from .common import NonFiniteError, SampleSizeError, TiesError, _check_integer
 EXACT_MAX_N = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedSample:
     """Two equal-length sequences of real observations.
 
     The underlying theory assumes continuous marginals, so tie-free data;
-    ranking enforces this.
+    ranking enforces this. Samples compare and hash by identity: the
+    generated `==` would compare the arrays as a tuple and raise.
     """
 
     x: np.ndarray
@@ -169,14 +170,15 @@ class ExactNullDistribution:
     coefficient because ranking makes the statistic distribution-free.
 
     The law is immutable, `counts` being a read-only view of the DP's
-    mapping, so one law serves every caller. `two_sided_p` reads both
+    mapping, so one law serves every caller. Laws compare by n and
+    counts, and hash by n alone. `two_sided_p` reads both
     tails by index into the running sums, since distance d sits at d/2.
     `phi` and `two_sided_p` accept only an attainable D and raise
     ValueError for any other.
     """
 
     n: int
-    counts: Mapping[int, int] = field(repr=False)
+    counts: Mapping[int, int] = field(repr=False, hash=False)
     _below: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

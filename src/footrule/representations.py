@@ -16,9 +16,13 @@ import numpy as np
 from .common import SampleSizeError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformPairs:
-    """Paired values in [0,1]; the samplers keep them strictly inside (0,1)."""
+    """Paired values in [0,1]; the samplers keep them strictly inside (0,1).
+
+    Pairs compare and hash by identity: the generated `==` would compare
+    the arrays as a tuple and raise.
+    """
 
     u: np.ndarray
     v: np.ndarray

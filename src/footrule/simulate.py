@@ -286,32 +286,29 @@ def _redraw_row(seed: int, rep: int, n: int, statistic: Statistic) -> tuple[floa
     raise TiesError(f"stream ({seed}, {rep}) tied on {_MAX_REDRAWS + 1} draws in a row")
 
 
-def _draw_chunk(seed: int, n: int, lo: int, hi: int,
-                values: np.ndarray) -> list[tuple[int, int, int]]:
+def _draw_chunk(seed: int, n: int, lo: int, hi: int, values: np.ndarray) -> np.ndarray:
     """Write replications lo..hi-1 of each statistic into its row of
-    `values`, from one Philox pass; return (statistic index, replication,
-    tie redraws) for each row read again alone."""
+    `values`, from one Philox pass; return their tie redraws as a
+    (3, hi - lo) array, zero except on rows read again alone."""
     vec, rejected = _uniform_rows(seed, np.arange(lo, hi, dtype=np.uint64),
                                   tuple(_block(stat, n) for stat in Statistic), 2 * n)
     rejected = rejected.any(axis=-1)
-    redrawn = []
+    redraws = np.zeros((len(Statistic), hi - lo), dtype=np.min_scalar_type(_MAX_REDRAWS))
     for i, stat in enumerate(Statistic):
         values[i, lo:hi], tied = _statistic_rows(vec[:, i], n, stat)
         for row in np.flatnonzero(tied | rejected[:, i]):
-            rep = lo + int(row)
-            values[i, rep], extra = _redraw_row(seed, rep, n, stat)
-            redrawn.append((i, rep, extra))
-    return redrawn
+            values[i, lo + row], redraws[i, row] = _redraw_row(seed, lo + int(row), n, stat)
+    return redraws
 
 
 @dataclass(frozen=True, eq=False)
 class _Pool:
-    """Replications 0..R-1 of each statistic at one (seed, n), one read-only
-    (3, R) array, and the (statistic index, replication, tie redraws) of
-    each row the engine read again alone. Pools compare by identity."""
+    """Replications 0..R-1 of each statistic at one (seed, n), and the tie
+    redraws of each, as two read-only (3, R) arrays. Pools compare by
+    identity."""
 
     values: np.ndarray
-    redrawn: tuple[tuple[int, int, int], ...]
+    redraws: np.ndarray
 
 
 # The most recent seed's pools, by (seed, n). A pool serves any prefix of
@@ -332,7 +329,7 @@ def _draw_statistics(
     other draws every replication afresh, and the new array replaces the
     pool once it is whole, so a failed draw leaves the pool as it was. A
     new seed drops every pool first, so at most one seed's pools,
-    3 * 8 * R bytes per n, stay alive.
+    3 * 9 * R bytes per n, stay alive.
 
     A batch holds about _CHUNK_WORDS words, counting the 2n words of all
     three statistics, so one Philox pass serves every statistic of a
@@ -350,15 +347,11 @@ def _draw_statistics(
         row_words = 2 * n * len(Statistic)
         batches = min(replications, max(1, round(replications * row_words / _CHUNK_WORDS)))
         bounds = [i * replications // batches for i in range(batches + 1)]
-        redrawn = tuple(row for lo, hi in zip(bounds, bounds[1:])
-                        for row in _draw_chunk(seed, n, lo, hi, values))
-        values.flags.writeable = False
-        pool = _POOLS[seed, n] = _Pool(values, redrawn)
-    redraws = [0] * len(Statistic)
-    for i, rep, extra in pool.redrawn:
-        if rep < replications:
-            redraws[i] += extra
-    return {stat: (pool.values[i, :replications], redraws[i])
+        redraws = np.concatenate([_draw_chunk(seed, n, lo, hi, values)
+                                  for lo, hi in zip(bounds, bounds[1:])], axis=1)
+        values.flags.writeable = redraws.flags.writeable = False
+        pool = _POOLS[seed, n] = _Pool(values, redraws)
+    return {stat: (pool.values[i, :replications], int(pool.redraws[i, :replications].sum()))
             for i, stat in enumerate(Statistic)}
 
 

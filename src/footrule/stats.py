@@ -155,15 +155,10 @@ def ks_two_sample(a, b) -> KsOutcome:
     return KsOutcome(statistic=stat, p_value=kolmogorov_sf(math.sqrt(m * n / (m + n)) * stat))
 
 
-def _one_dimensional(samples) -> np.ndarray:
+def _finite(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"samples must be a 1-D array, got {x.ndim} dimensions")
-    return x
-
-
-def _finite(samples) -> np.ndarray:
-    x = _one_dimensional(samples)
     if not np.isfinite(x).all():
         raise NonFiniteError("samples must be finite")
     return x
@@ -270,8 +265,11 @@ def ecdf_curve(samples, grid) -> np.ndarray:
 
 
 def summarize(estimates, true_value: float) -> SummaryStats:
-    """Mean, unbiased variance, bias, and RMSE of estimates versus truth."""
-    e = _one_dimensional(estimates)
+    """Mean, unbiased variance, bias, and RMSE of estimates versus truth.
+
+    A NaN or infinite estimate raises NonFiniteError.
+    """
+    e = _finite(estimates)
     m = len(e)
     if m < 2:
         raise SampleSizeError("summary needs at least 2 estimates")

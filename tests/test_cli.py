@@ -616,6 +616,48 @@ class TestOutTargets:
         assert target.read_text() == expected
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.csv", "null3.csv"]
 
+    @pytest.mark.parametrize("stray", ["symlink", "file"])
+    def test_stray_tmp_path_is_left_alone(self, tmp_path, capsys, stray):
+        # a stray `<file>.tmp`, symlink or regular file, is neither written through nor moved
+        assert main(["exact", "3"]) == 0
+        expected = capsys.readouterr().out
+        victim, out, tmp = (tmp_path / name for name in ("victim.txt", "out.csv", "out.csv.tmp"))
+        victim.write_text("keep\n")
+        if stray == "symlink":
+            tmp.symlink_to("victim.txt")
+        else:
+            tmp.write_text("stray\n")
+        assert main(["exact", "3", "--out", str(out)]) == 0
+        assert not out.is_symlink() and out.read_text() == expected
+        assert victim.read_text() == "keep\n"
+        if stray == "symlink":
+            assert tmp.is_symlink() and os.readlink(tmp) == "victim.txt"
+        else:
+            assert tmp.read_text() == "stray\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp",
+                                                              "victim.txt"]
+
+    def test_longest_file_name_is_written(self, tmp_path, capsys):
+        # the temporary name fits wherever the target's does; `<file>.tmp` did not
+        out = tmp_path / ("x" * os.pathconf(tmp_path, "PC_NAME_MAX"))
+        assert main(["exact", "3"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["exact", "3", "--out", str(out)]) == 0
+        assert out.read_text() == expected
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002], ids=["umask-022", "umask-002"])
+    def test_written_file_has_the_mode_of_a_plain_open(self, tmp_path, umask):
+        plain, out = tmp_path / "plain", tmp_path / "out.csv"
+        old = os.umask(umask)
+        try:
+            with open(plain, "w"):
+                pass
+            assert main(["exact", "3", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(out).st_mode) == stat.S_IMODE(os.stat(plain).st_mode)
+
     @pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")
     def test_stdout_redirected_to_a_file_keeps_the_report(self, tmp_path):
         # The CSV, then the report, both written through stdout into the file.

@@ -284,6 +284,13 @@ class TestPairedSample:
         with pytest.raises(ValueError, match="one-dimensional"):
             PairedSample(np.zeros((2, 2)), np.zeros((2, 2)))
 
+    def test_samples_compare_and_hash_by_identity(self):
+        # a generated `==` would compare the arrays as a tuple and raise
+        first = PairedSample([1.0, 2.0], [3.0, 4.0])
+        twin = PairedSample([1.0, 2.0], [3.0, 4.0])
+        assert first == first and first != twin
+        assert len({first, twin, first}) == 2
+
 
 class TestEnumeration:
     def test_n2(self):
@@ -382,6 +389,14 @@ class TestSharedLaw:
         with pytest.raises(TypeError):
             law.counts[0] = 5
         assert law.counts == {0: 1, 2: 2, 4: 3}
+
+    def test_laws_hash_by_n(self):
+        # counts is an unhashable mappingproxy, so the hash takes n alone
+        law = enumerate_null_distribution(4)
+        twin = pickle.loads(pickle.dumps(law))
+        assert twin is not law and hash(twin) == hash(law)
+        assert {law: 4}[twin] == 4
+        assert law != enumerate_null_distribution(5)
 
     def test_law_pickles_and_copies(self):
         law = enumerate_null_distribution(5)

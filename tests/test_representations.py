@@ -186,3 +186,10 @@ class TestUniformPairs:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             UniformPairs([0.5], [0.1, 0.2])
+
+    def test_pairs_compare_and_hash_by_identity(self):
+        # a generated `==` would compare the arrays as a tuple and raise
+        first = UniformPairs([0.1, 0.2], [0.3, 0.4])
+        twin = UniformPairs([0.1, 0.2], [0.3, 0.4])
+        assert first == first and first != twin
+        assert len({first, twin, first}) == 2

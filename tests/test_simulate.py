@@ -780,9 +780,21 @@ class TestPools:
                 values[0] = 0.0
             with pytest.raises(ValueError):
                 values.flags.writeable = True
+        pool = simulate._POOLS[4, 10]
+        for array in (pool.values, pool.redraws):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
         run_curve_study(4, (10,), 60, 16)
         for stat, (values, _) in _draw_statistics(4, 10, 60).items():
             assert values.tobytes() == kept[stat].tobytes()
+
+    @pytest.mark.parametrize("reps", [2, 37, 1000])
+    def test_pools_hold_27_bytes_per_replication(self, reps):
+        # 3 statistics x (8-byte value + 1-byte redraw count), as the README says
+        _draw_statistics(4, 10, reps)
+        pool = simulate._POOLS[4, 10]
+        assert pool.values.shape == pool.redraws.shape == (3, reps)
+        assert pool.values.nbytes + pool.redraws.nbytes == 27 * reps
 
 
 class TestExactLawOracle:

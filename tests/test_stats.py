@@ -497,3 +497,9 @@ class TestSummarize:
     def test_too_few(self):
         with pytest.raises(SampleSizeError):
             summarize([1.0], 0.0)
+
+    # a NaN would make every field NaN, and an inf would warn
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_estimates_rejected(self, bad):
+        with pytest.raises(NonFiniteError, match="samples must be finite"):
+            summarize([bad, 1.0], 0.0)
