@@ -264,18 +264,45 @@ def ecdf_curve(samples, grid) -> np.ndarray:
     return np.searchsorted(x, g, side="right") / len(x)
 
 
+def _mean_square(x: np.ndarray, c: float, divisor: int) -> tuple[float, float]:
+    """(s, top) with sum((x - c)**2) / divisor = s * top**2.
+
+    top is 1.0 unless that arithmetic overflows float64 (the caller lets it
+    pass silently); then x and c are divided by top = max(|x|, |c|) first.
+    """
+    d = x - c
+    s = float(np.sum(d * d)) / divisor
+    if math.isfinite(s):
+        return s, 1.0
+    top = max(float(np.max(np.abs(x))), abs(c))
+    d = x / top - c / top
+    return float(np.sum(d * d)) / divisor, top
+
+
 def summarize(estimates, true_value: float) -> SummaryStats:
     """Mean, unbiased variance, bias, and RMSE of estimates versus truth.
 
-    A NaN or infinite estimate raises NonFiniteError.
+    A NaN or infinite estimate raises NonFiniteError. Only a mean or a sum
+    of squares whose own float64 arithmetic overflows (values near 1e308,
+    or deviations near 1e154) is taken again on values divided by their
+    largest magnitude and scaled back, as `bandwidth` scales a spread; a
+    result past the float range raises NonFiniteError.
     """
     e = _finite(estimates)
     m = len(e)
     if m < 2:
         raise SampleSizeError("summary needs at least 2 estimates")
-    em = float(np.mean(e))
-    dev = e - em
-    ev = float(np.sum(dev * dev)) / (m - 1)
-    err = e - true_value
-    rmse = math.sqrt(float(np.sum(err * err)) / m)
-    return SummaryStats(em=em, ev=ev, bias=em - true_value, rmse=rmse)
+    # An overflow leaves the mean or the sum of squares it hits inf or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        em = float(np.mean(e))
+        if not math.isfinite(em):
+            top = float(np.max(np.abs(e)))
+            em = float(np.mean(e / top)) * top
+        var, var_top = _mean_square(e, em, m - 1)
+        mse, err_top = _mean_square(e, true_value, m)
+    out = SummaryStats(em=em, ev=var * var_top * var_top, bias=em - true_value,
+                       rmse=math.sqrt(mse) * err_top)
+    if not all(map(math.isfinite, (out.ev, out.bias, out.rmse))):
+        raise NonFiniteError(f"summary overflows float64 (estimates {np.min(e):.3g} to "
+                             f"{np.max(e):.3g}, true value {true_value:.3g})")
+    return out

@@ -4,6 +4,7 @@ import errno
 import io
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -538,6 +539,34 @@ def test_stat_reads_a_pipe(tmp_path):
     assert bad.stderr == b"footrule: row 3: cannot parse '0.7,x'\n"
 
 
+@pytest.mark.skipif(not Path("/proc/self/mem").exists(), reason="no /proc/self/mem")
+def test_unreadable_input_exits_2():
+    # Reading /proc/self/mem at offset 0 fails with EIO on Linux, a read error that only a
+    # real file reaches; it ends the input as undecodable bytes do.
+    proc = run_fresh(["stat", "/proc/self/mem"])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    reason = f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}"
+    assert proc.stderr.decode() == f"footrule: cannot read /proc/self/mem: {reason}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+def test_large_csv_gives_one_report(tmp_path):
+    # 10^5 rows from a file, through a pipe (read once, as a stream), with CRLF ends and
+    # after a header line: the csv reader parses what numpy's C reader leaves, to one report.
+    r = random.Random(1)
+    data = "".join(f"{r.random()!r},{r.random()!r}\n" for _ in range(100_000)).encode()
+    plain, crlf, headed = (tmp_path / name for name in ("big.csv", "crlf.csv", "headed.csv"))
+    plain.write_bytes(data)
+    crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+    headed.write_bytes(b"x,y\n" + data)
+    code, report, err = run_main(["stat", str(plain)])
+    assert (code, err, report.split()[:2]) == (0, "", ["n", "100000"])
+    assert run_main(["stat", str(crlf)]) == (0, report, "")
+    assert run_main(["stat", "--header", str(headed)]) == (0, report, "")
+    piped = run_fresh(["stat", "/dev/stdin"], stdin=data)
+    assert (piped.returncode, piped.stdout.decode(), piped.stderr) == (0, report, b"")
+
+
 class TestExactCommand:
     def test_n3_rows(self, tmp_path):
         out = tmp_path / "null3.csv"
@@ -683,6 +712,16 @@ class TestOutTargets:
             outputs.append(path.read_bytes())
         assert outputs[1] == outputs[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exact0.csv", "exact1.csv"]
+        piped = run_fresh(["exact", "3", "--out", "/dev/stdout"])  # and into a pipe
+        assert (piped.returncode, piped.stdout, piped.stderr) == (0, outputs[0], b"")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+    def test_full_device_is_written_in_place(self):
+        proc = run_fresh(["exact", "3", "--out", "/dev/full"])
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        message = f"footrule: cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+        assert proc.stderr.decode() == message
+        assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
 
     def test_curves_failure_removes_the_linked_density_file(self, tmp_path, monkeypatch,
                                                            capsys):
@@ -1038,6 +1077,16 @@ def test_stat_checks_out_before_reading(tmp_path, capsys, monkeypatch, out):
     printed, err = capsys.readouterr()
     assert printed == ""
     assert err.startswith("footrule: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_fifo_input_with_no_writer_cannot_block_a_bad_out(tmp_path):
+    # Opening a FIFO with no writer blocks; the bad --out is rejected before the open.
+    fifo = tmp_path / "nowriter"
+    os.mkfifo(fifo)
+    proc = run_fresh(["stat", str(fifo), "--out", str(tmp_path / "no" / "s.csv")])
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"footrule: ") and proc.stderr.count(b"\n") == 1, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

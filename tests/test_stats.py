@@ -503,3 +503,19 @@ class TestSummarize:
     def test_non_finite_estimates_rejected(self, bad):
         with pytest.raises(NonFiniteError, match="samples must be finite"):
             summarize([bad, 1.0], 0.0)
+
+    # Each overflowed a mean or a sum of squares, warned, and returned inf.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("estimates, truth, expected", [
+        ([0.0, 1.0], 1e200, (0.5, 0.5, -1e200, 1e200)),
+        ([1e154, -1e154, 0.0], 0.0, (0.0, 1e308, 0.0, math.sqrt(2 / 3) * 1e154)),
+        ([1e308, 1e308], 0.0, (1e308, 0.0, 1e308, 1e308)),
+    ], ids=["rmse", "ev", "em"])
+    def test_overflowing_arithmetic_is_scaled(self, estimates, truth, expected):
+        out = summarize(estimates, truth)
+        assert (out.em, out.ev, out.bias, out.rmse) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_summary_past_the_float_range_rejected(self):
+        with pytest.raises(NonFiniteError, match="summary overflows float64"):
+            summarize([1e308, -1e308], 0.0)
